@@ -384,7 +384,9 @@ struct TopoBuildPoint {
     grid_builds_per_sec: f64,
     all_pairs_builds_per_sec: Option<f64>,
     speedup: Option<f64>,
-    bit_identical: bool,
+    /// Whether the in-binary oracle replay matched; `None` where the
+    /// replay did not run.
+    bit_identical: Option<bool>,
 }
 
 struct FleetTickPoint {
@@ -393,10 +395,14 @@ struct FleetTickPoint {
     node_ticks_per_sec: f64,
 }
 
+/// Route epochs of the `BENCH_fleet.json` epoch-scaling record.
+const EPOCH_SCALING_E: usize = 16;
+
 /// The scaling benchmark behind `BENCH_fleet.json`: grid-bucket vs
 /// all-pairs topology build at 1k/10k nodes (bit-identity asserted
 /// in-binary before any clock starts, ≥ 20× required at 10k), a
-/// 100k-node grid-only build, and batched fleet node-phase throughput.
+/// 100k-node grid-only build, batched fleet node-phase throughput, and
+/// route-epoch scaling (16 epochs within 1.25× of 1 epoch).
 fn bench_fleet(smoke: bool, threads: usize, out_dir: &Path) {
     println!("\nfleet-layer scaling — topology build and node-phase throughput");
 
@@ -451,7 +457,7 @@ fn bench_fleet(smoke: bool, threads: usize, out_dir: &Path) {
             grid_builds_per_sec: 1.0 / t_grid,
             all_pairs_builds_per_sec: Some(1.0 / t_oracle),
             speedup: Some(speedup),
-            bit_identical: true,
+            bit_identical: Some(true),
         });
     }
     // 100k: grid-only (the all-pairs oracle would take ~100x the 10k
@@ -486,7 +492,7 @@ fn bench_fleet(smoke: bool, threads: usize, out_dir: &Path) {
             grid_builds_per_sec: 1.0 / t_grid,
             all_pairs_builds_per_sec: None,
             speedup: None,
-            bit_identical: false,
+            bit_identical: None,
         });
     }
 
@@ -516,6 +522,48 @@ fn bench_fleet(smoke: bool, threads: usize, out_dir: &Path) {
         });
     }
 
+    // --- route-epoch scaling ----------------------------------------
+    // The fleet_epochs shape: one node phase serves every epoch, so 16
+    // epochs must cost little more than 1. Fastest of 3, interleaved.
+    let epoch_n = if smoke { 1_000 } else { 2_000 };
+    let epoch_duration_s = 150.0;
+    let fleets: Vec<FleetSimulator> = [1, EPOCH_SCALING_E]
+        .into_iter()
+        .map(|epochs| {
+            let (positions, sink, range_m) = e13_placement(epoch_n);
+            let mut spec = FleetSpec::homogeneous(
+                e13_base_config(),
+                positions,
+                sink,
+                range_m,
+                epoch_duration_s,
+            );
+            spec.route_epochs = epochs;
+            FleetSimulator::prepare(spec, threads).expect("epoch-scaling fleet prepares")
+        })
+        .collect();
+    let mut best = [f64::INFINITY; 2];
+    for _ in 0..3 {
+        for (fleet, best) in fleets.iter().zip(&mut best) {
+            let start = Instant::now();
+            let out = fleet.run(threads).expect("epoch-scaling run");
+            *best = best.min(start.elapsed().as_secs_f64());
+            assert_eq!(out.metrics.epochs.len(), fleet.spec().route_epochs);
+        }
+    }
+    let epoch_ratio = best[1] / best[0];
+    println!(
+        "
+route epochs, {epoch_n} nodes, {epoch_duration_s} s: E=1 {:.3} s, \
+         E={EPOCH_SCALING_E} {:.3} s, ratio {epoch_ratio:.2}",
+        best[0], best[1]
+    );
+    assert!(
+        epoch_ratio <= 1.25,
+        "{EPOCH_SCALING_E} route epochs must run within 1.25x of 1 epoch; \
+         measured {epoch_ratio:.2}x"
+    );
+
     // --- machine-readable artefact ----------------------------------
     let mut json = String::new();
     json.push_str("{\n");
@@ -534,7 +582,7 @@ fn bench_fleet(smoke: bool, threads: usize, out_dir: &Path) {
             json_num(p.grid_builds_per_sec),
             p.all_pairs_builds_per_sec.map_or("null".into(), json_num),
             p.speedup.map_or("null".into(), json_num),
-            p.bit_identical,
+            p.bit_identical.map_or("null".into(), |b| b.to_string()),
         ));
     }
     json.push_str("  ],\n");
@@ -548,7 +596,16 @@ fn bench_fleet(smoke: bool, threads: usize, out_dir: &Path) {
             json_num(p.node_ticks_per_sec),
         ));
     }
-    json.push_str("  ]\n");
+    json.push_str("  ],\n");
+    json.push_str(&format!(
+        "  \"epoch_scaling\": {{\"n\": {epoch_n}, \"duration_s\": {}, \
+         \"route_epochs\": {EPOCH_SCALING_E}, \"best_of\": 3, \"run_s_1_epoch\": {}, \
+         \"run_s_many_epochs\": {}, \"ratio\": {}}}\n",
+        json_num(epoch_duration_s),
+        json_num(best[0]),
+        json_num(best[1]),
+        json_num(epoch_ratio),
+    ));
     json.push_str("}\n");
     let path = out_dir.join("BENCH_fleet.json");
     std::fs::write(&path, &json).expect("BENCH_fleet.json writes");

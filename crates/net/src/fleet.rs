@@ -46,12 +46,16 @@
 //! are computed once and never repaired, making it the static
 //! baseline route repair is measured against.
 //!
-//! Node trajectories are independent of the run duration tick for
-//! tick (the vibration sources are pure functions of time), so each
-//! epoch boundary snapshot is an *exact prefix* of the full run and
-//! per-epoch deltas are exact — at `route_epochs = 1` the whole
-//! machinery collapses, bit for bit, to the original
-//! single-accounting-pass fleet run (pinned by
+//! The node phase runs **once** for all epochs: the tick loops emit a
+//! snapshot at each epoch boundary
+//! ([`BatchSimulator::run_lanes_with_snapshots`],
+//! [`PreparedSimulator::run_with_snapshots`]), bit-identical to a run
+//! stopped there, so per-epoch deltas are exact. Each job keeps only
+//! the compact per-epoch sample the accounting reads and full metrics
+//! at the end. The prefix re-run — a node phase per boundary — stays
+//! as the differential oracle ([`FleetSimulator::run_reference`]). At
+//! `route_epochs = 1` the whole machinery collapses, bit for bit, to
+//! the original single-accounting-pass fleet run (pinned by
 //! `tests/fleet_equivalence.rs`).
 //!
 //! The network phase is plain sequential float arithmetic in a fixed
@@ -60,9 +64,11 @@
 //! bit-identical metrics for any thread count and dispatch.
 
 use crate::sched::{run_jobs, run_jobs_capturing};
-use crate::topology::{Routes, Topology};
+use crate::topology::Topology;
 use crate::{NetError, Point, RadioEnergyModel, Result};
-use ehsim_node::{BatchSimulator, NodeConfig, NodeMetrics, PreparedSimulator, SolverMode};
+use ehsim_node::{
+    tick_count, BatchSimulator, NodeConfig, NodeMetrics, PreparedSimulator, SolverMode,
+};
 use ehsim_vibration::{FilteredNoise, VibrationSource};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -237,12 +243,13 @@ pub struct FleetSpec {
     pub solver: SolverMode,
     /// Simulated duration (s).
     pub duration_s: f64,
-    /// Number of route epochs the run is sliced into (≥ 1). At 1 the
-    /// run reproduces the original static-routing accounting bit for
-    /// bit; larger values buy mid-run route repair around browned-out
-    /// relays at the cost of re-simulating prefixes of the node phase
-    /// (the node simulators are snapshot-free, so epoch `e` re-runs
-    /// ticks `0..t_e` — roughly `(E+1)/2` node phases for `E` epochs).
+    /// Number of route epochs the run is sliced into (≥ 1, and at most
+    /// the tick count of the longest node run). At 1 the run
+    /// reproduces the original static-routing accounting bit for bit;
+    /// larger values buy mid-run route repair around browned-out
+    /// relays. The node phase still runs once, snapshotting at every
+    /// epoch boundary, so `E` epochs cost one node phase plus `E`
+    /// accounting passes.
     pub route_epochs: usize,
     /// What to do when an epoch's routing leaves nodes stranded.
     pub on_partition: PartitionPolicy,
@@ -373,6 +380,36 @@ pub struct FleetOutcome {
     pub metrics: FleetMetrics,
 }
 
+/// What the network accounting reads of one node at one epoch
+/// boundary — all a run keeps of an intermediate snapshot.
+#[derive(Debug, Clone, Copy, Default)]
+struct EpochSample {
+    packets_delivered: u64,
+    final_v_store: f64,
+    browned: bool,
+}
+
+impl From<&NodeMetrics> for EpochSample {
+    fn from(m: &NodeMetrics) -> Self {
+        EpochSample {
+            packets_delivered: m.packets_delivered,
+            final_v_store: m.final_v_store,
+            browned: m.brownout_count > 0,
+        }
+    }
+}
+
+/// One node-phase job's output for its contiguous run of nodes.
+struct NodeJob {
+    /// Intermediate-boundary samples, lane-major.
+    samples: Vec<EpochSample>,
+    /// Intermediate snapshots each lane reached; for a failed lane,
+    /// the first epoch whose prefix run fails.
+    reached: Vec<usize>,
+    /// Each lane's result at the final boundary.
+    finals: Vec<ehsim_node::Result<NodeMetrics>>,
+}
+
 /// Prepared, validated fleet: every node's simulator constructed once,
 /// vibration streams split, topology built.
 pub struct FleetSimulator {
@@ -398,8 +435,9 @@ impl FleetSimulator {
     /// Validates the spec and prepares every node — simulator
     /// construction *and* vibration-source instantiation fused into
     /// one per-node job — on the deterministic self-scheduling queue
-    /// across `threads` workers, then builds the topology
-    /// (grid-bucket, `O(n + links)`).
+    /// across `threads` workers, and builds the topology (grid-bucket,
+    /// `O(n + links)`) on one more thread alongside them when `threads`
+    /// exceeds 1.
     ///
     /// **Determinism contract**: per-node preparation is *total* — a
     /// failure at node `i` never abandons the validation of any node
@@ -412,10 +450,12 @@ impl FleetSimulator {
     /// # Errors
     ///
     /// [`NetError::InvalidParameter`] for an empty fleet, a
-    /// non-positive payload, an invalid duration, zero route epochs,
-    /// an invalid topology, or an environment-factory failure
-    /// (smallest failing node); [`NetError::Node`] (smallest failing
-    /// index) if a node config fails preparation.
+    /// non-positive payload, an invalid duration, zero route epochs or
+    /// more route epochs than the longest node run has ticks, an
+    /// invalid topology, or an environment-factory failure (smallest
+    /// failing node); [`NetError::Node`] (smallest failing index) if a
+    /// node config fails preparation or its run would exceed
+    /// [`ehsim_node::MAX_TICKS`].
     pub fn prepare(spec: FleetSpec, threads: usize) -> Result<Self> {
         if spec.nodes.is_empty() {
             return Err(NetError::invalid("fleet needs at least one node"));
@@ -437,25 +477,55 @@ impl FleetSimulator {
         // Total validation on the capturing queue: every node's result
         // exists, and the ascending scan below makes the
         // smallest-failing-node error thread-count-invariant.
-        let results = run_jobs_capturing(spec.nodes.len(), threads, |i| {
+        let prep_node = |i: usize| {
             let prepared =
                 PreparedSimulator::with_solver(spec.nodes[i].config.clone(), spec.solver)
                     .map_err(|source| NetError::Node { node: i, source })?;
+            let ticks = tick_count(spec.duration_s, prepared.config().tick_s)
+                .map_err(|source| NetError::Node { node: i, source })?;
             let source = spec
                 .environment
                 .source_for(crate::node_seed(spec.fleet_seed, i))
                 .map_err(|e| NetError::invalid(format!("node {i}: {e}")))?;
-            Ok((prepared, source))
-        });
-        let mut prepared = Vec::with_capacity(spec.nodes.len());
-        let mut sources: Vec<Arc<dyn VibrationSource>> = Vec::with_capacity(spec.nodes.len());
-        for r in results {
-            let (p, s) = r?;
-            prepared.push(p);
-            sources.push(s);
-        }
+            Ok((prepared, ticks, source))
+        };
+        // With more than one worker the topology builds alongside node
+        // prep; its error still ranks after every node error.
         let positions: Vec<Point> = spec.nodes.iter().map(|n| n.position).collect();
-        let topology = Topology::new(positions, spec.sink, spec.range_m)?;
+        let build_topology = || Topology::new(positions, spec.sink, spec.range_m);
+        let (results, topology) = if threads > 1 {
+            std::thread::scope(|scope| {
+                let topology = scope.spawn(build_topology);
+                let results = run_jobs_capturing(spec.nodes.len(), threads, prep_node);
+                (results, topology.join())
+            })
+        } else {
+            let results = run_jobs_capturing(spec.nodes.len(), threads, prep_node);
+            (results, Ok(build_topology()))
+        };
+        let topology = topology.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        let mut sources: Vec<Arc<dyn VibrationSource>> = Vec::with_capacity(spec.nodes.len());
+        let mut max_ticks = 0;
+        // Collected in place: the simulators reuse the results buffer.
+        let prepared = results
+            .into_iter()
+            .map(|r| {
+                let (p, ticks, s) = r?;
+                max_ticks = max_ticks.max(ticks);
+                sources.push(s);
+                Ok(p)
+            })
+            .collect::<Result<Vec<_>>>()?;
+        // An epoch needs at least one tick of some node: this bounds
+        // every per-epoch allocation by the work of the node phase.
+        if spec.route_epochs > max_ticks {
+            return Err(NetError::invalid(format!(
+                "route_epochs = {} exceeds the {max_ticks} ticks of the fleet's longest \
+                 node run",
+                spec.route_epochs
+            )));
+        }
+        let topology = topology?;
         let homogeneous = prepared
             .windows(2)
             .all(|w| w[0].config().tick_s.to_bits() == w[1].config().tick_s.to_bits());
@@ -516,53 +586,80 @@ impl FleetSimulator {
         self.run_nodes_for(threads, dispatch, self.spec.duration_s)
     }
 
-    /// Phase 1 truncated to `duration_s` — the epoch loop runs this at
-    /// every epoch boundary. Node trajectories depend only on the tick
-    /// index (sources are pure in time), so a shorter run is an exact
-    /// prefix of a longer one, on either dispatch path.
+    /// Phase 1 truncated to `duration_s` — the prefix oracle runs this
+    /// at every epoch boundary.
     fn run_nodes_for(
         &self,
         threads: usize,
         dispatch: Dispatch,
         duration_s: f64,
     ) -> Result<Vec<ehsim_node::Result<NodeMetrics>>> {
+        let (_, jobs) = self.node_phase(threads, dispatch, &[duration_s])?;
+        Ok(jobs.into_iter().flat_map(|job| job.finals).collect())
+    }
+
+    /// Phase 1 to the last of `bounds` in one pass, as jobs of
+    /// `width` contiguous nodes (returned with the jobs) on the
+    /// deterministic queue. Each job reduces its snapshots at the
+    /// earlier bounds to compact samples (lane-major, `bounds.len() -
+    /// 1` per lane) and keeps full metrics only at the last.
+    fn node_phase(
+        &self,
+        threads: usize,
+        dispatch: Dispatch,
+        bounds: &[f64],
+    ) -> Result<(usize, Vec<NodeJob>)> {
         let batched = match dispatch {
             Dispatch::Auto => self.homogeneous,
             Dispatch::PerSim => false,
+            Dispatch::Batched if self.homogeneous => true,
             Dispatch::Batched => {
-                if !self.homogeneous {
-                    return Err(NetError::invalid(
-                        "batched dispatch requires a homogeneous (shared-tick) fleet",
-                    ));
-                }
-                true
+                return Err(NetError::invalid(
+                    "batched dispatch requires a homogeneous (shared-tick) fleet",
+                ))
             }
         };
         let n = self.prepared.len();
-        if batched {
-            // Contiguous chunks, one batch kernel per chunk. The chunk
-            // width depends only on (n, threads) and results are
-            // collected in chunk order, so the flattened output is
-            // invariant to scheduling.
-            let width = n.div_ceil(threads.clamp(1, n)).clamp(1, MAX_BATCH_WIDTH);
-            let n_chunks = n.div_ceil(width);
-            let chunks = run_jobs(n_chunks, threads, |c| {
-                let lo = c * width;
-                let hi = ((c + 1) * width).min(n);
+        // Contiguous chunks, one batch kernel per chunk. The width
+        // depends only on (n, threads) and results are collected in job
+        // order, so the output is invariant to scheduling.
+        let width = if batched {
+            n.div_ceil(threads.clamp(1, n)).clamp(1, MAX_BATCH_WIDTH)
+        } else {
+            1
+        };
+        let inner = bounds.len().saturating_sub(1);
+        let jobs = run_jobs(n.div_ceil(width), threads, |c| {
+            let lo = c * width;
+            let hi = (lo + width).min(n);
+            let mut samples = vec![EpochSample::default(); (hi - lo) * inner];
+            let mut reached = vec![0usize; hi - lo];
+            let mut keep = |b: usize, lane: usize, m: &NodeMetrics| {
+                samples[lane * inner + b] = EpochSample::from(m);
+                reached[lane] += 1;
+            };
+            let finals = if batched {
                 let batch = BatchSimulator::new(self.prepared[lo..hi].to_vec())
                     .map_err(|source| NetError::Node { node: lo, source })?;
                 let srcs: Vec<&dyn VibrationSource> =
                     self.sources[lo..hi].iter().map(|s| s.as_ref()).collect();
                 batch
-                    .run_lanes_with_sources(&srcs, duration_s)
-                    .map_err(|source| NetError::Node { node: lo, source })
-            })?;
-            Ok(chunks.into_iter().flatten().collect())
-        } else {
-            run_jobs(n, threads, |i| {
-                Ok(self.prepared[i].run(self.sources[i].as_ref(), duration_s))
+                    .run_lanes_with_snapshots(&srcs, bounds, &mut keep)
+                    .map_err(|source| NetError::Node { node: lo, source })?
+            } else {
+                vec![self.prepared[lo].run_with_snapshots(
+                    self.sources[lo].as_ref(),
+                    bounds,
+                    &mut |b, m| keep(b, 0, m),
+                )]
+            };
+            Ok(NodeJob {
+                samples,
+                reached,
+                finals,
             })
-        }
+        })?;
+        Ok((width, jobs))
     }
 
     /// Runs the fleet with auto dispatch.
@@ -583,19 +680,63 @@ impl FleetSimulator {
     /// [`NetError::InvalidParameter`] for a forced-batched dispatch of
     /// a heterogeneous fleet.
     pub fn run_with_dispatch(&self, threads: usize, dispatch: Dispatch) -> Result<FleetOutcome> {
-        let epochs = self.spec.route_epochs;
-        // One node-phase snapshot per epoch boundary. Each snapshot is
-        // an exact prefix of the full run (sources are pure in time),
-        // so per-epoch deltas in the accounting pass are exact. The
-        // final boundary is `duration_s` itself — not
-        // `duration_s·E/E`, which need not round to the same bits.
-        let mut snapshots: Vec<Vec<NodeMetrics>> = Vec::with_capacity(epochs);
-        for e in 1..=epochs {
-            let t_end = if e == epochs {
-                self.spec.duration_s
+        let bounds = self.epoch_bounds();
+        let inner = bounds.len() - 1;
+        let n = self.prepared.len();
+        let (width, jobs) = self.node_phase(threads, dispatch, &bounds)?;
+
+        // The prefix loop's error contract: the first epoch at which
+        // any node has failed, then the smallest node failing there. A
+        // failed lane's snapshot count is that epoch.
+        let mut per_node = Vec::with_capacity(n);
+        let mut samples = Vec::with_capacity(jobs.len());
+        let mut failed: Option<(usize, usize, ehsim_node::NodeError)> = None;
+        let mut node = 0;
+        for job in jobs {
+            for (&epoch, lane) in job.reached.iter().zip(job.finals) {
+                match lane {
+                    Ok(m) => per_node.push(m),
+                    Err(source) => {
+                        if failed.as_ref().is_none_or(|f| epoch < f.0) {
+                            failed = Some((epoch, node, source));
+                        }
+                    }
+                }
+                node += 1;
+            }
+            samples.push(job.samples);
+        }
+        if let Some((_, node, source)) = failed {
+            return Err(NetError::Node { node, source });
+        }
+        let (net, metrics) = self.network_accounting(&bounds, &per_node, |e, i| {
+            if e == inner {
+                EpochSample::from(&per_node[i])
             } else {
-                self.spec.duration_s * e as f64 / epochs as f64
-            };
+                samples[i / width][(i % width) * inner + e]
+            }
+        })?;
+        Ok(FleetOutcome {
+            per_node,
+            net,
+            metrics,
+        })
+    }
+
+    /// The prefix-re-run oracle for [`FleetSimulator::run_with_dispatch`]:
+    /// one full node phase per epoch boundary, each truncated to the
+    /// boundary, then the same network accounting. Costs about
+    /// `(E+1)/2` node phases and holds every snapshot; kept only for
+    /// the differential suites.
+    ///
+    /// # Errors
+    ///
+    /// As [`FleetSimulator::run_with_dispatch`].
+    #[doc(hidden)]
+    pub fn run_reference(&self, threads: usize, dispatch: Dispatch) -> Result<FleetOutcome> {
+        let bounds = self.epoch_bounds();
+        let mut snapshots: Vec<Vec<NodeMetrics>> = Vec::with_capacity(bounds.len());
+        for &t_end in &bounds {
             let lanes = self.run_nodes_for(threads, dispatch, t_end)?;
             let mut snap = Vec::with_capacity(lanes.len());
             for (i, lane) in lanes.into_iter().enumerate() {
@@ -606,37 +747,53 @@ impl FleetSimulator {
             }
             snapshots.push(snap);
         }
-        let (net, metrics) = self.network_accounting(&snapshots)?;
-        let Some(per_node) = snapshots.pop() else {
+        let Some(per_node) = snapshots.last() else {
             // route_epochs ≥ 1 is validated at prep; unreachable.
             return Err(NetError::invalid("fleet run produced no snapshots"));
         };
+        let (net, metrics) = self.network_accounting(&bounds, per_node, |e, i| {
+            EpochSample::from(&snapshots[e][i])
+        })?;
         Ok(FleetOutcome {
-            per_node,
+            per_node: per_node.clone(),
             net,
             metrics,
         })
     }
 
+    /// The epoch boundaries `t_1 … t_E` (s). The last is `duration_s`
+    /// itself — not `duration_s·E/E`, which need not round to the same
+    /// bits.
+    fn epoch_bounds(&self) -> Vec<f64> {
+        let epochs = self.spec.route_epochs;
+        let duration_s = self.spec.duration_s;
+        (1..=epochs)
+            .map(|e| {
+                if e == epochs {
+                    duration_s
+                } else {
+                    duration_s * e as f64 / epochs as f64
+                }
+            })
+            .collect()
+    }
+
     /// The network phase: a sequential energy-accounting pass per
-    /// route epoch over the node-phase boundary snapshots
-    /// (`snapshots[e]` = every node's metrics at the end of epoch
-    /// `e`; the last snapshot is the full run).
+    /// route epoch, in epoch order, over each node's sample at the
+    /// epoch's end boundary (`sample(e, i)`; `bounds[e]` is that
+    /// boundary, and `per_node` holds the full-run metrics).
     ///
-    /// With one snapshot this is exactly the original single-pass
+    /// With one epoch this is exactly the original single-pass
     /// accounting — every epoch-generalised expression reduces bit
     /// for bit to its static form (pinned by
     /// `tests/fleet_equivalence.rs`).
     fn network_accounting(
         &self,
-        snapshots: &[Vec<NodeMetrics>],
+        bounds: &[f64],
+        per_node: &[NodeMetrics],
+        sample: impl Fn(usize, usize) -> EpochSample,
     ) -> Result<(Vec<NodeNetStats>, FleetMetrics)> {
-        let Some(per_node) = snapshots.last() else {
-            // route_epochs ≥ 1 is validated at prep; unreachable.
-            return Err(NetError::invalid("network accounting needs snapshots"));
-        };
         let n = per_node.len();
-        let epochs = snapshots.len();
         let sink = self.topology.sink_index();
         let duration_s = self.spec.duration_s;
         let radio = &self.spec.radio;
@@ -649,12 +806,7 @@ impl FleetSimulator {
                 self.topology.position(v)
             }
         };
-        // Per-packet forwarding energy of relay `path[j]` on a path:
-        // receive, then transmit to `path[j + 1]`.
-        let hop_energy = |path: &[usize], j: usize| {
-            let d = vpos(path[j]).distance_m(&vpos(path[j + 1]));
-            radio.hop_energy_j(bits, d)
-        };
+        let rx_e = radio.rx_energy_j(bits);
 
         // Cumulative state threaded across epochs.
         let mut spent = vec![0.0f64; n];
@@ -667,32 +819,31 @@ impl FleetSimulator {
         let mut prev_packets: Vec<u64> = vec![0; n];
         let mut prev_browned = vec![false; n];
         let mut prev_reachable: Vec<bool> = Vec::new();
-        let mut routes: Option<Routes> = None;
+        // Each node's path under the current routes, and the
+        // per-packet energy of relaying through it — receive then
+        // transmit (`hop_e`), transmit alone (`tx_e`) — over its first
+        // hop; recomputed only with the routes.
+        let mut paths: Vec<Option<Vec<usize>>> = Vec::new();
+        let mut hop_e = vec![0.0f64; n];
+        let mut tx_e = vec![0.0f64; n];
         let mut route_repairs = 0u32;
-        let mut audits: Vec<EpochAudit> = Vec::with_capacity(epochs);
+        let mut audits: Vec<EpochAudit> = Vec::with_capacity(bounds.len());
         let mut t_prev = 0.0f64;
-        let mut last_paths: Vec<Option<Vec<usize>>> = Vec::new();
         let mut last_headroom = vec![0.0f64; n];
 
-        for (e, snap) in snapshots.iter().enumerate() {
-            let t_end = if e + 1 == epochs {
-                duration_s
-            } else {
-                duration_s * (e + 1) as f64 / epochs as f64
-            };
+        for (e, &t_end) in bounds.iter().enumerate() {
+            let snap: Vec<EpochSample> = (0..n).map(|i| sample(e, i)).collect();
             // Brown-outs are cumulative (each snapshot is a prefix of
             // the next), so `browned` only ever grows across epochs.
-            let browned: Vec<bool> = snap.iter().map(|m| m.brownout_count > 0).collect();
+            let browned: Vec<bool> = snap.iter().map(|m| m.browned).collect();
             let newly_browned: Vec<usize> =
                 (0..n).filter(|&i| browned[i] && !prev_browned[i]).collect();
 
             // Route repair: energy-aware routes are recomputed
             // whenever the exclusion set changed; min-hop stays the
             // static baseline (computed once, never repaired).
-            let recompute = match self.spec.routing {
-                RoutingPolicy::MinHop => routes.is_none(),
-                RoutingPolicy::EnergyAware => routes.is_none() || browned != prev_browned,
-            };
+            let recompute = e == 0
+                || (self.spec.routing == RoutingPolicy::EnergyAware && browned != prev_browned);
             let rerouted = recompute && e > 0;
             if recompute {
                 let r = match self.spec.routing {
@@ -704,12 +855,15 @@ impl FleetSimulator {
                 if rerouted {
                     route_repairs += 1;
                 }
-                routes = Some(r);
+                paths = (0..n).map(|i| r.path(i).ok()).collect();
+                for (u, path) in paths.iter().enumerate() {
+                    if let Some(&next) = path.as_ref().and_then(|p| p.get(1)) {
+                        let d = vpos(u).distance_m(&vpos(next));
+                        hop_e[u] = radio.hop_energy_j(bits, d);
+                        tx_e[u] = radio.tx_energy_j(bits, d);
+                    }
+                }
             }
-            let Some(routes_e) = routes.as_ref() else {
-                return Err(NetError::invalid("routes unavailable after recompute"));
-            };
-            let paths: Vec<Option<Vec<usize>>> = (0..n).map(|i| routes_e.path(i).ok()).collect();
             if self.spec.on_partition == PartitionPolicy::Error {
                 if let Some(node) = (0..n).find(|&i| paths[i].is_none()) {
                     return Err(NetError::Partitioned { epoch: e, node });
@@ -749,8 +903,8 @@ impl FleetSimulator {
             let mut demand = vec![0.0f64; n];
             for i in 0..n {
                 let Some(path) = &paths[i] else { continue };
-                for j in 1..path.len() - 1 {
-                    demand[path[j]] += originated[i] * hop_energy(path, j);
+                for &u in &path[1..path.len() - 1] {
+                    demand[u] += originated[i] * hop_e[u];
                 }
             }
 
@@ -773,13 +927,10 @@ impl FleetSimulator {
             for i in 0..n {
                 let Some(path) = &paths[i] else { continue };
                 let mut flow = originated[i];
-                for j in 1..path.len() - 1 {
-                    let u = path[j];
-                    let d = vpos(u).distance_m(&vpos(path[j + 1]));
+                for &u in &path[1..path.len() - 1] {
                     let arriving = flow;
                     flow *= scale[u];
-                    spent[u] +=
-                        arriving * radio.rx_energy_j(bits) + flow * radio.tx_energy_j(bits, d);
+                    spent[u] += arriving * rx_e + flow * tx_e[u];
                     relay_hops += arriving;
                 }
                 delivered[i] = flow;
@@ -825,7 +976,6 @@ impl FleetSimulator {
             }
             prev_browned = browned;
             last_headroom = headroom;
-            last_paths = paths;
             t_prev = t_end;
         }
 
@@ -854,7 +1004,7 @@ impl FleetSimulator {
             .map(|i| NodeNetStats {
                 originated: originated_total[i],
                 delivered: delivered_total[i],
-                hops_to_sink: last_paths[i].as_ref().map(|p| p.len() - 1),
+                hops_to_sink: paths[i].as_ref().map(|p| p.len() - 1),
                 relay_demand_j: demand_total[i],
                 relay_spent_j: spent[i],
                 headroom_j: last_headroom[i],
@@ -884,7 +1034,7 @@ impl FleetSimulator {
             first_death_s,
             dead_nodes,
             browned_out_nodes: prev_browned.iter().filter(|&&b| b).count() as u32,
-            unreachable_nodes: last_paths.iter().filter(|p| p.is_none()).count() as u32,
+            unreachable_nodes: paths.iter().filter(|p| p.is_none()).count() as u32,
             residual_mean_j: residual_mean,
             residual_spread_j: residual_spread,
             min_brownout_margin_v,
@@ -962,6 +1112,35 @@ mod tests {
         assert!(fleet.run_with_dispatch(2, Dispatch::Batched).is_err());
         // Auto falls back per-sim and still runs.
         assert!(fleet.run(2).is_ok());
+    }
+
+    /// More route epochs than the longest node run has ticks is a
+    /// typed error at prep — never a capacity overflow at run time.
+    #[test]
+    fn route_epochs_bounded_by_longest_node_run() {
+        // 30 s at 0.5 s = 60 ticks; one node at 0.25 s runs 120.
+        for (fine_node, ticks) in [(false, 60), (true, 120)] {
+            let mut spec = tiny_spec(6, 30.0);
+            if fine_node {
+                spec.nodes[4].config.tick_s = 0.25;
+            }
+            for bad in [usize::MAX, ticks + 1] {
+                spec.route_epochs = bad;
+                match FleetSimulator::new(spec.clone()) {
+                    Err(NetError::InvalidParameter { message }) => {
+                        assert!(message.contains("route_epochs"), "{message}")
+                    }
+                    Err(other) => panic!("route_epochs = {bad}: got {other:?}"),
+                    Ok(_) => panic!("route_epochs = {bad} accepted"),
+                }
+            }
+            spec.route_epochs = ticks;
+            let fleet = FleetSimulator::new(spec).unwrap();
+            let out = fleet.run(2).unwrap();
+            let oracle = fleet.run_reference(1, Dispatch::PerSim).unwrap();
+            assert_eq!(out.metrics.epochs.len(), ticks);
+            assert_eq!(format!("{out:?}"), format!("{oracle:?}"));
+        }
     }
 
     #[test]

@@ -403,3 +403,33 @@ fn repaired_run_is_bit_identical_across_threads_and_dispatch() {
         );
     }
 }
+
+/// The one-pass run of the fixture — the brown-out mid-run, the repair
+/// and the stranding — equals the prefix-re-run oracle bit for bit
+/// (full outcome) at E ∈ {1, 3, 16}, on 1/2/8 threads and every
+/// dispatch.
+#[test]
+fn one_pass_run_matches_prefix_oracle() {
+    for epochs in [1, 3, 16] {
+        let fleet = FleetSimulator::new(fixture_spec(epochs)).expect("fixture prepares");
+        let oracle = fleet
+            .run_reference(1, Dispatch::PerSim)
+            .expect("oracle run");
+        let oracle_bits = format!("{oracle:?}");
+        assert!(!oracle_bits.contains("NaN"), "E={epochs}: NaN in outcome");
+        for threads in [1, 2, 8] {
+            for dispatch in [Dispatch::Auto, Dispatch::Batched, Dispatch::PerSim] {
+                let out = fleet
+                    .run_with_dispatch(threads, dispatch)
+                    .expect("one-pass run");
+                // `Debug` renders each f64 in its shortest round-trip
+                // form: equal NaN-free renderings mean equal bits.
+                assert_eq!(
+                    format!("{out:?}"),
+                    oracle_bits,
+                    "E={epochs} threads={threads} dispatch={dispatch:?}"
+                );
+            }
+        }
+    }
+}

@@ -29,7 +29,9 @@
 //! the oracle and `tests/batch_equivalence.rs` asserts the contract
 //! across widths, policies and workloads. This is what lets
 //! `ehsim-core` campaigns dispatch homogeneous job groups to the batch
-//! kernel without perturbing a single CSV byte.
+//! kernel without perturbing a single CSV byte. The contract extends
+//! to snapshots: [`BatchSimulator::run_lanes_with_snapshots`] emits,
+//! at each boundary, exactly the per-sim run stopped there.
 //!
 //! # Error contract
 //!
@@ -43,7 +45,9 @@
 //! `Result` vector.
 
 use crate::policy::DutyCyclePolicy;
-use crate::sim::{task_saturation_error, tick_count, NodeMetrics, PreparedSimulator, SolverMode};
+use crate::sim::{
+    task_saturation_error, MetricAcc, NodeMetrics, PreparedSimulator, SnapshotCursor, SolverMode,
+};
 use crate::tuning::TuningController;
 use crate::{NodeConfig, NodeError, Result};
 use ehsim_harvester::{PreparedHarvester, TuningParams};
@@ -209,7 +213,7 @@ impl BatchSimulator {
         source: &dyn VibrationSource,
         duration_s: f64,
     ) -> Result<Vec<Result<NodeMetrics>>> {
-        self.run_inner(SourceBind::Shared(source), duration_s)
+        self.run_inner(SourceBind::Shared(source), &[duration_s], &mut |_, _, _| {})
     }
 
     /// [`BatchSimulator::run_lanes`] with one source per lane
@@ -224,6 +228,33 @@ impl BatchSimulator {
         sources: &[&dyn VibrationSource],
         duration_s: f64,
     ) -> Result<Vec<Result<NodeMetrics>>> {
+        self.run_lanes_with_snapshots(sources, &[duration_s], &mut |_, _, _| {})
+    }
+
+    /// [`BatchSimulator::run_lanes_with_sources`] to the last of
+    /// `boundaries_s` (simulated times, s) in one pass, handing
+    /// `on_snapshot(b, lane, &metrics)` a snapshot of every lane still
+    /// alive at each earlier boundary `b`, in boundary order. Each
+    /// snapshot is bit-identical to the per-sim `run(sources[lane],
+    /// boundaries_s[b])`, and the returned vector holds each lane's
+    /// result at the last boundary (see
+    /// [`PreparedSimulator::run_with_snapshots`]).
+    ///
+    /// A lane that fails is retired at its failing tick and gets no
+    /// further snapshots, so the number it received is the index of
+    /// the first boundary whose prefix run fails for it too.
+    ///
+    /// # Errors
+    ///
+    /// As [`BatchSimulator::run_lanes_with_sources`], plus
+    /// [`NodeError::InvalidParameter`] for an empty boundary list, an
+    /// invalid boundary, or boundaries whose tick counts decrease.
+    pub fn run_lanes_with_snapshots(
+        &self,
+        sources: &[&dyn VibrationSource],
+        boundaries_s: &[f64],
+        on_snapshot: &mut dyn FnMut(usize, usize, &NodeMetrics),
+    ) -> Result<Vec<Result<NodeMetrics>>> {
         if sources.len() != self.lanes.len() {
             return Err(NodeError::invalid(format!(
                 "got {} sources for {} lanes",
@@ -231,13 +262,18 @@ impl BatchSimulator {
                 self.lanes.len()
             )));
         }
-        self.run_inner(SourceBind::PerLane(sources), duration_s)
+        self.run_inner(SourceBind::PerLane(sources), boundaries_s, on_snapshot)
     }
 
-    fn run_inner(&self, bind: SourceBind<'_>, duration_s: f64) -> Result<Vec<Result<NodeMetrics>>> {
+    fn run_inner(
+        &self,
+        bind: SourceBind<'_>,
+        boundaries_s: &[f64],
+        on_snapshot: &mut dyn FnMut(usize, usize, &NodeMetrics),
+    ) -> Result<Vec<Result<NodeMetrics>>> {
         let w = self.lanes.len();
         let dt = self.dt;
-        let n_ticks = tick_count(duration_s, dt)?;
+        let (mut snapshots, n_ticks) = SnapshotCursor::new(boundaries_s, dt)?;
         let warm = self.mode == SolverMode::Warm;
 
         let consts: Vec<LaneConst> = self.lanes.iter().map(LaneConst::from_prepared).collect();
@@ -273,17 +309,7 @@ impl BatchSimulator {
         let mut prev_v_pk = vec![f64::NAN; w];
 
         // Metric accumulators.
-        let mut packets = vec![0u64; w];
-        let mut first_packet: Vec<Option<f64>> = vec![None; w];
-        let mut uptime_ticks = vec![0usize; w];
-        let mut brownouts = vec![0u32; w];
-        let mut retunes = vec![0u32; w];
-        let mut measurements = vec![0u32; w];
-        let mut tuning_energy = vec![0.0f64; w];
-        let mut harvested = vec![0.0f64; w];
-        let mut consumed = vec![0.0f64; w];
-        let mut min_v_after_on = vec![f64::INFINITY; w];
-        let mut min_v = vec![f64::INFINITY; w];
+        let mut acc = vec![MetricAcc::NEW; w];
         let mut ever_on: Vec<bool> = running.clone();
 
         // Lane liveness and captured errors.
@@ -449,9 +475,9 @@ impl BatchSimulator {
                         }
                         if !policy_action.skip_fire {
                             e_tick += c.e_cycle_in;
-                            packets[i] += 1;
-                            if first_packet[i].is_none() {
-                                first_packet[i] = Some(t);
+                            acc[i].packets += 1;
+                            if acc[i].first_packet.is_none() {
+                                acc[i].first_packet = Some(t);
                             }
                         }
                         let period = c.duty.period_s(
@@ -475,7 +501,7 @@ impl BatchSimulator {
 
                     if c.tuning.enabled && t >= next_check_t[i] {
                         e_tick += c.e_measure_in;
-                        measurements[i] += 1;
+                        acc[i].measurements += 1;
                         next_check_t[i] = t + c.tuning.check_interval_s;
                         if !act_active[i] {
                             let resonance = c.harv.resonant_frequency(pos[i]);
@@ -491,14 +517,14 @@ impl BatchSimulator {
                                 act_t0[i] = t;
                                 act_t1[i] = t + move_time;
                                 act_active[i] = true;
-                                retunes[i] += 1;
+                                acc[i].retunes += 1;
                             }
                         }
                     }
 
                     if act_active[i] {
                         e_tick += c.e_act_tick;
-                        tuning_energy[i] += c.e_act_tick;
+                        acc[i].tuning_energy += c.e_act_tick;
                     }
                 }
 
@@ -507,13 +533,13 @@ impl BatchSimulator {
                     .storage
                     .step_with_current_accounted(v[i], op.i_out_a, p_out, dt);
                 v[i] = v_next;
-                harvested[i] += e_in;
-                consumed[i] += e_tick;
+                acc[i].harvested += e_in;
+                acc[i].consumed += e_tick;
 
                 let was_running = running[i];
                 running[i] = c.thresholds.update(v[i], running[i]);
                 if was_running && !running[i] {
-                    brownouts[i] += 1;
+                    acc[i].brownouts += 1;
                     act_active[i] = false;
                 }
                 if !was_running && running[i] {
@@ -522,39 +548,32 @@ impl BatchSimulator {
                     ever_on[i] = true;
                 }
                 if running[i] {
-                    uptime_ticks[i] += 1;
+                    acc[i].uptime_ticks += 1;
                     ever_on[i] = true;
                 }
                 if ever_on[i] {
-                    min_v_after_on[i] = min_v_after_on[i].min(v[i]);
+                    acc[i].min_v_after_on = acc[i].min_v_after_on.min(v[i]);
                 }
-                min_v[i] = min_v[i].min(v[i]);
+                acc[i].min_v = acc[i].min_v.min(v[i]);
+            }
+
+            if k + 1 == snapshots.next_tick {
+                let reached = snapshots.reached();
+                for i in 0..w {
+                    if alive[i] {
+                        let m = acc[i].metrics(k + 1, dt, v[i]);
+                        for b in reached.clone() {
+                            on_snapshot(b, i, &m);
+                        }
+                    }
+                }
             }
         }
 
-        let duration = n_ticks as f64 * dt;
         Ok((0..w)
             .map(|i| match err[i].take() {
                 Some(e) => Err(e),
-                None => Ok(NodeMetrics {
-                    duration_s: duration,
-                    packets_delivered: packets[i],
-                    uptime_fraction: uptime_ticks[i] as f64 / n_ticks as f64,
-                    brownout_count: brownouts[i],
-                    retune_count: retunes[i],
-                    measurement_count: measurements[i],
-                    tuning_energy_j: tuning_energy[i],
-                    harvested_energy_j: harvested[i],
-                    consumed_energy_j: consumed[i],
-                    min_v_store: if min_v_after_on[i].is_finite() {
-                        min_v_after_on[i]
-                    } else {
-                        min_v[i]
-                    },
-                    final_v_store: v[i],
-                    avg_harvest_power_w: harvested[i] / duration,
-                    time_to_first_packet_s: first_packet[i],
-                }),
+                None => Ok(acc[i].metrics(n_ticks, dt, v[i])),
             })
             .collect())
     }

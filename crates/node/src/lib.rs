@@ -43,8 +43,8 @@ pub use batch::BatchSimulator;
 pub use mcu::{McuModel, RadioModel, TaskModel};
 pub use policy::DutyCyclePolicy;
 pub use sim::{
-    NodeMetrics, PreparedSimulator, SolverMode, SystemSimulator, SystemTrace, MAX_TICKS,
-    MIN_TASK_PERIOD_S,
+    tick_count, NodeMetrics, PreparedSimulator, SolverMode, SystemSimulator, SystemTrace,
+    MAX_TICKS, MIN_TASK_PERIOD_S,
 };
 pub use tuning::TuningController;
 

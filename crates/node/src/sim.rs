@@ -50,6 +50,16 @@
 //!   never-on `min_v_store`, clamp-consistent `harvested_energy_j`),
 //!   none of which the shipped campaign workloads exercise.
 //!
+//! # Snapshots
+//!
+//! A run takes a list of *boundaries* (simulated times) and simulates
+//! to the last one. At every earlier boundary the tick loop emits a
+//! [`NodeMetrics`] snapshot — built by the same finalisation as the
+//! end of the run ([`PreparedSimulator::run_with_snapshots`]), so the
+//! snapshot at `t_e` is bit-identical to `run(source, t_e)`. A plain
+//! [`PreparedSimulator::run`] is the one-boundary case of the same
+//! loop, and the per-tick boundary test is a single compare.
+//!
 //! [`SystemSimulator::run_reference`] preserves the straight-line
 //! per-tick implementation (re-validating sub-models every tick, cold
 //! solves, no memoization) as a differential-testing oracle and as the
@@ -61,6 +71,7 @@ use ehsim_numeric::complex::Complex;
 use ehsim_policy::{EnergyPolicy, PolicyObs};
 use ehsim_power::PreparedPpu;
 use ehsim_vibration::VibrationSource;
+use std::ops::Range;
 
 /// The floor the simulator applies to any task period returned by the
 /// duty-cycle policy (s). Together with the tick length it bounds how
@@ -83,7 +94,12 @@ pub const MAX_TICKS: f64 = 9_007_199_254_740_992.0;
 /// guard: the duration must be positive **and finite** (the historical
 /// `!(duration_s > 0.0)` guard admitted `f64::INFINITY`), and the
 /// rounded tick count must not exceed [`MAX_TICKS`].
-pub(crate) fn tick_count(duration_s: f64, dt: f64) -> Result<usize> {
+///
+/// # Errors
+///
+/// [`NodeError::InvalidParameter`] for a duration that is not positive
+/// and finite, or that needs more than [`MAX_TICKS`] ticks.
+pub fn tick_count(duration_s: f64, dt: f64) -> Result<usize> {
     if !(duration_s > 0.0) || !duration_s.is_finite() {
         return Err(NodeError::invalid(format!(
             "duration must be positive and finite, got {duration_s}"
@@ -97,6 +113,133 @@ pub(crate) fn tick_count(duration_s: f64, dt: f64) -> Result<usize> {
         )));
     }
     Ok(n as usize)
+}
+
+/// Cursor over a run's snapshot boundaries (simulated times, s).
+///
+/// The run simulates to the **last** boundary; every earlier boundary
+/// `b` is reached once the tick loop has completed
+/// `tick_count(boundaries_s[b], dt)` ticks. Both tick loops test
+/// `k + 1 == next_tick` once per tick, which never holds in a
+/// one-boundary run (`next_tick == usize::MAX`).
+pub(crate) struct SnapshotCursor<'a> {
+    boundaries_s: &'a [f64],
+    dt: f64,
+    next: usize,
+    /// Tick count of the next snapshot boundary; `usize::MAX` once
+    /// only the last boundary is left.
+    pub(crate) next_tick: usize,
+}
+
+impl<'a> SnapshotCursor<'a> {
+    /// Validates every boundary (as [`tick_count`]) and their order,
+    /// and returns the cursor with the run length: the last boundary's
+    /// tick count.
+    pub(crate) fn new(boundaries_s: &'a [f64], dt: f64) -> Result<(Self, usize)> {
+        if boundaries_s.is_empty() {
+            return Err(NodeError::invalid("a run needs at least one boundary"));
+        }
+        let mut n_ticks = 0;
+        for (b, &t) in boundaries_s.iter().enumerate() {
+            let n = tick_count(t, dt)?;
+            if n < n_ticks {
+                return Err(NodeError::invalid(format!(
+                    "boundary {b} at {t} s ends after {n} ticks, before the \
+                     {n_ticks} ticks of the boundary preceding it"
+                )));
+            }
+            n_ticks = n;
+        }
+        let mut cursor = SnapshotCursor {
+            boundaries_s,
+            dt,
+            next: 0,
+            next_tick: 0,
+        };
+        cursor.next_tick = cursor.tick_of(0);
+        Ok((cursor, n_ticks))
+    }
+
+    fn tick_of(&self, b: usize) -> usize {
+        if b + 1 < self.boundaries_s.len() {
+            // Validated in `new`; the fallback is never taken.
+            tick_count(self.boundaries_s[b], self.dt).unwrap_or(usize::MAX)
+        } else {
+            usize::MAX
+        }
+    }
+
+    /// Steps past every snapshot boundary that ends at `next_tick`
+    /// (several may round to one tick) and returns their indices.
+    pub(crate) fn reached(&mut self) -> Range<usize> {
+        let start = self.next;
+        let tick = self.next_tick;
+        while self.next + 1 < self.boundaries_s.len() && self.next_tick == tick {
+            self.next += 1;
+            self.next_tick = self.tick_of(self.next);
+        }
+        start..self.next
+    }
+}
+
+/// The metric accumulators both tick loops carry, and the one
+/// finalisation that turns them into [`NodeMetrics`] — at a snapshot
+/// boundary and at the end of a run alike, so a snapshot is
+/// bit-identical to a run that stops there.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MetricAcc {
+    pub(crate) packets: u64,
+    pub(crate) first_packet: Option<f64>,
+    pub(crate) uptime_ticks: usize,
+    pub(crate) brownouts: u32,
+    pub(crate) retunes: u32,
+    pub(crate) measurements: u32,
+    pub(crate) tuning_energy: f64,
+    pub(crate) harvested: f64,
+    pub(crate) consumed: f64,
+    pub(crate) min_v_after_on: f64,
+    pub(crate) min_v: f64,
+}
+
+impl MetricAcc {
+    pub(crate) const NEW: MetricAcc = MetricAcc {
+        packets: 0,
+        first_packet: None,
+        uptime_ticks: 0,
+        brownouts: 0,
+        retunes: 0,
+        measurements: 0,
+        tuning_energy: 0.0,
+        harvested: 0.0,
+        consumed: 0.0,
+        min_v_after_on: f64::INFINITY,
+        min_v: f64::INFINITY,
+    };
+
+    /// The metrics of a run that has completed `n_ticks` ticks of `dt`
+    /// with storage voltage `v_store`.
+    pub(crate) fn metrics(&self, n_ticks: usize, dt: f64, v_store: f64) -> NodeMetrics {
+        let duration = n_ticks as f64 * dt;
+        NodeMetrics {
+            duration_s: duration,
+            packets_delivered: self.packets,
+            uptime_fraction: self.uptime_ticks as f64 / n_ticks as f64,
+            brownout_count: self.brownouts,
+            retune_count: self.retunes,
+            measurement_count: self.measurements,
+            tuning_energy_j: self.tuning_energy,
+            harvested_energy_j: self.harvested,
+            consumed_energy_j: self.consumed,
+            min_v_store: if self.min_v_after_on.is_finite() {
+                self.min_v_after_on
+            } else {
+                self.min_v
+            },
+            final_v_store: v_store,
+            avg_harvest_power_w: self.harvested / duration,
+            time_to_first_packet_s: self.first_packet,
+        }
+    }
 }
 
 /// Aggregated performance indicators of one simulation run.
@@ -289,7 +432,34 @@ impl PreparedSimulator {
     /// [`NodeError::Model`] if a sub-model fails mid-run or the task
     /// schedule saturates its per-tick firing bound.
     pub fn run(&self, source: &dyn VibrationSource, duration_s: f64) -> Result<NodeMetrics> {
-        Ok(self.run_internal(source, duration_s, None)?.0)
+        let (m, _) = self.run_internal(source, &[duration_s], None, &mut |_, _| {})?;
+        Ok(m)
+    }
+
+    /// Runs to the last of `boundaries_s` (simulated times, s) in one
+    /// pass, handing `on_snapshot(b, &metrics)` a snapshot at every
+    /// earlier boundary `b`, in boundary order. Each snapshot is
+    /// bit-identical to `run(source, boundaries_s[b])`, and the
+    /// returned metrics are `run(source, last boundary)`'s. Boundaries
+    /// that round to the same tick get equal snapshots.
+    ///
+    /// A run that fails returns its error as soon as it fails, so the
+    /// number of snapshots it emitted is the index of the first
+    /// boundary whose prefix run fails too.
+    ///
+    /// # Errors
+    ///
+    /// As [`PreparedSimulator::run`], for the last boundary; plus
+    /// [`NodeError::InvalidParameter`] for an empty boundary list, an
+    /// invalid boundary, or boundaries whose tick counts decrease.
+    pub fn run_with_snapshots(
+        &self,
+        source: &dyn VibrationSource,
+        boundaries_s: &[f64],
+        on_snapshot: &mut dyn FnMut(usize, &NodeMetrics),
+    ) -> Result<NodeMetrics> {
+        let (m, _) = self.run_internal(source, boundaries_s, None, on_snapshot)?;
+        Ok(m)
     }
 
     /// Runs and additionally records a trace sampled every
@@ -308,19 +478,21 @@ impl PreparedSimulator {
         if trace_stride == 0 {
             return Err(NodeError::invalid("trace stride must be >= 1"));
         }
-        let (m, tr) = self.run_internal(source, duration_s, Some(trace_stride))?;
+        let (m, tr) =
+            self.run_internal(source, &[duration_s], Some(trace_stride), &mut |_, _| {})?;
         Ok((m, tr.expect("trace requested")))
     }
 
     fn run_internal(
         &self,
         source: &dyn VibrationSource,
-        duration_s: f64,
+        boundaries_s: &[f64],
         trace_stride: Option<usize>,
+        on_snapshot: &mut dyn FnMut(usize, &NodeMetrics),
     ) -> Result<(NodeMetrics, Option<SystemTrace>)> {
         let cfg = &self.cfg;
         let dt = cfg.tick_s;
-        let n_ticks = tick_count(duration_s, dt)?;
+        let (mut snapshots, n_ticks) = SnapshotCursor::new(boundaries_s, dt)?;
         let warm = self.mode == SolverMode::Warm;
 
         let mut v = cfg.v_store0;
@@ -336,17 +508,7 @@ impl PreparedSimulator {
         // so one prepared simulator can serve many concurrent jobs.
         let mut policy_state = cfg.energy_policy.initial_state();
 
-        let mut packets: u64 = 0;
-        let mut first_packet: Option<f64> = None;
-        let mut uptime_ticks: usize = 0;
-        let mut brownouts: u32 = 0;
-        let mut retunes: u32 = 0;
-        let mut measurements: u32 = 0;
-        let mut tuning_energy = 0.0f64;
-        let mut harvested = 0.0f64;
-        let mut consumed = 0.0f64;
-        let mut min_v_after_on = f64::INFINITY;
-        let mut min_v = f64::INFINITY;
+        let mut acc = MetricAcc::NEW;
         let mut ever_on = running;
 
         // Thevenin memo: the envelope and actuator position are
@@ -444,9 +606,9 @@ impl PreparedSimulator {
                     }
                     if !policy_action.skip_fire {
                         e_tick += self.e_cycle_in;
-                        packets += 1;
-                        if first_packet.is_none() {
-                            first_packet = Some(t);
+                        acc.packets += 1;
+                        if acc.first_packet.is_none() {
+                            acc.first_packet = Some(t);
                         }
                     }
                     // The energy policy's scale composes
@@ -469,7 +631,7 @@ impl PreparedSimulator {
                 // Tuning controller.
                 if cfg.tuning.enabled && t >= next_check_t {
                     e_tick += self.e_measure_in;
-                    measurements += 1;
+                    acc.measurements += 1;
                     next_check_t = t + cfg.tuning.check_interval_s;
                     if actuator.is_none() {
                         let resonance = self.harv.resonant_frequency(pos);
@@ -486,7 +648,7 @@ impl PreparedSimulator {
                                 t_start: t,
                                 t_end: t + move_time,
                             });
-                            retunes += 1;
+                            acc.retunes += 1;
                         }
                     }
                 }
@@ -494,7 +656,7 @@ impl PreparedSimulator {
                 // Actuator draw while moving.
                 if actuator.is_some() {
                     e_tick += self.e_act_tick;
-                    tuning_energy += self.e_act_tick;
+                    acc.tuning_energy += self.e_act_tick;
                 }
             }
 
@@ -507,13 +669,13 @@ impl PreparedSimulator {
                 .storage
                 .step_with_current_accounted(v, op.i_out_a, p_out, dt);
             v = v_next;
-            harvested += e_in;
-            consumed += e_tick;
+            acc.harvested += e_in;
+            acc.consumed += e_tick;
 
             let was_running = running;
             running = cfg.thresholds.update(v, running);
             if was_running && !running {
-                brownouts += 1;
+                acc.brownouts += 1;
                 // A brown-out aborts any actuator motion.
                 actuator = None;
             }
@@ -524,13 +686,13 @@ impl PreparedSimulator {
                 ever_on = true;
             }
             if running {
-                uptime_ticks += 1;
+                acc.uptime_ticks += 1;
                 ever_on = true;
             }
             if ever_on {
-                min_v_after_on = min_v_after_on.min(v);
+                acc.min_v_after_on = acc.min_v_after_on.min(v);
             }
-            min_v = min_v.min(v);
+            acc.min_v = acc.min_v.min(v);
 
             if let (Some(stride), Some(tr)) = (trace_stride, trace.as_mut()) {
                 if k % stride == 0 {
@@ -542,29 +704,16 @@ impl PreparedSimulator {
                     tr.running.push(running);
                 }
             }
+
+            if k + 1 == snapshots.next_tick {
+                let m = acc.metrics(k + 1, dt, v);
+                for b in snapshots.reached() {
+                    on_snapshot(b, &m);
+                }
+            }
         }
 
-        let duration = n_ticks as f64 * dt;
-        let metrics = NodeMetrics {
-            duration_s: duration,
-            packets_delivered: packets,
-            uptime_fraction: uptime_ticks as f64 / n_ticks as f64,
-            brownout_count: brownouts,
-            retune_count: retunes,
-            measurement_count: measurements,
-            tuning_energy_j: tuning_energy,
-            harvested_energy_j: harvested,
-            consumed_energy_j: consumed,
-            min_v_store: if min_v_after_on.is_finite() {
-                min_v_after_on
-            } else {
-                min_v
-            },
-            final_v_store: v,
-            avg_harvest_power_w: harvested / duration,
-            time_to_first_packet_s: first_packet,
-        };
-        Ok((metrics, trace))
+        Ok((acc.metrics(n_ticks, dt, v), trace))
     }
 }
 

@@ -287,6 +287,118 @@ fn shared_poison_source_fails_every_lane_and_run_reports_lane_zero() {
     assert_eq!(run_err.to_string(), oracle_err.to_string());
 }
 
+/// Snapshot boundaries (s) at the default 0.1 s tick: a one-tick
+/// floor, two boundaries rounding to tick 250, an exact duplicate, and
+/// a poisoned lane's failure (t = 100 s) between 60 s and 130 s.
+const SNAPSHOT_BOUNDS: [f64; 7] = [0.01, 25.0, 25.02, 60.0, 60.0, 130.0, 240.0];
+
+/// Checks one lane's snapshots against prefix runs: boundary `b` holds
+/// exactly `run(source, SNAPSHOT_BOUNDS[b])`, and a lane that fails
+/// stops getting snapshots at the first boundary whose prefix run
+/// fails, with the prefix run's error.
+fn assert_snapshots_match_prefix_runs(
+    lane: &PreparedSimulator,
+    source: &dyn VibrationSource,
+    snaps: &[NodeMetrics],
+    last: &Result<NodeMetrics, ehsim_node::NodeError>,
+    what: &str,
+) {
+    let n = SNAPSHOT_BOUNDS.len();
+    for (b, &t) in SNAPSHOT_BOUNDS.iter().enumerate() {
+        let prefix = lane.run(source, t);
+        let got = if b + 1 == n {
+            last.as_ref().ok()
+        } else {
+            snaps.get(b)
+        };
+        match (got, &prefix) {
+            (Some(got), Ok(want)) => {
+                assert_metrics_bitwise_eq(got, want, &format!("{what} boundary {b}"))
+            }
+            (None, Err(want)) => {
+                assert_eq!(snaps.len(), b.min(n - 1), "{what}: snapshot count");
+                let err = last.as_ref().expect_err("a failed lane fails at the end");
+                assert_eq!(err.to_string(), want.to_string(), "{what}: error");
+                return;
+            }
+            (got, want) => panic!("{what} boundary {b}: snapshot {got:?} vs prefix run {want:?}"),
+        }
+    }
+    assert_eq!(snaps.len(), n - 1, "{what}: snapshot count");
+}
+
+/// Both tick loops emit snapshots bit-identical to prefix runs — at
+/// boundaries that round to one tick, and for a lane that fails
+/// between two boundaries.
+#[test]
+fn snapshots_are_bit_identical_to_prefix_runs() {
+    let cfg = NodeConfig::default_node();
+    let f = cfg.harvester.resonant_frequency(cfg.initial_position);
+    let clean = resonant_sine(&cfg, 0.9);
+    let poisoned = PoisonAfter {
+        inner: Sine::new(0.9, f).unwrap(),
+        t_poison: 100.0,
+    };
+    let drift = DriftSchedule::new(vec![(0.0, f - 2.0), (240.0, f + 3.0)], 0.8).unwrap();
+    let mut weak = cfg.clone();
+    weak.storage.capacitance = 0.02;
+    let cfgs = [cfg.clone(), cfg.clone(), weak, cfg];
+    let sources: Vec<&dyn VibrationSource> = vec![&clean, &poisoned, &clean, &drift];
+    for mode in [SolverMode::Exact, SolverMode::Warm] {
+        let lanes: Vec<PreparedSimulator> = cfgs
+            .iter()
+            .map(|c| PreparedSimulator::with_solver(c.clone(), mode).unwrap())
+            .collect();
+
+        // Per-sim loop.
+        for (i, lane) in lanes.iter().enumerate() {
+            let mut snaps = Vec::new();
+            let last = lane.run_with_snapshots(sources[i], &SNAPSHOT_BOUNDS, &mut |b, m| {
+                assert_eq!(b, snaps.len(), "boundaries arrive in order");
+                snaps.push(*m);
+            });
+            let what = format!("{mode:?} per-sim lane {i}");
+            assert_snapshots_match_prefix_runs(lane, sources[i], &snaps, &last, &what);
+        }
+
+        // Batch loop.
+        let batch = BatchSimulator::new(lanes.clone()).unwrap();
+        let mut snaps: Vec<Vec<NodeMetrics>> = vec![Vec::new(); lanes.len()];
+        let finals = batch
+            .run_lanes_with_snapshots(&sources, &SNAPSHOT_BOUNDS, &mut |b, lane, m| {
+                assert_eq!(b, snaps[lane].len(), "boundaries arrive in order");
+                snaps[lane].push(*m);
+            })
+            .unwrap();
+        assert!(finals[1].is_err(), "the poisoned lane fails");
+        for (i, lane) in lanes.iter().enumerate() {
+            let what = format!("{mode:?} batch lane {i}");
+            assert_snapshots_match_prefix_runs(lane, sources[i], &snaps[i], &finals[i], &what);
+        }
+    }
+}
+
+#[test]
+fn snapshot_boundaries_are_validated() {
+    let cfg = NodeConfig::default_node();
+    let src = resonant_sine(&cfg, 0.9);
+    let lane = PreparedSimulator::new(cfg).unwrap();
+    let batch = BatchSimulator::new(vec![lane.clone()]).unwrap();
+    let sources: Vec<&dyn VibrationSource> = vec![&src];
+    for bad in [&[][..], &[10.0, 5.0], &[10.0, f64::NAN], &[-1.0, 10.0]] {
+        assert!(
+            lane.run_with_snapshots(&src, bad, &mut |_, _| {}).is_err(),
+            "per-sim boundaries {bad:?}"
+        );
+        assert!(
+            batch
+                .run_lanes_with_snapshots(&sources, bad, &mut |_, _, _| {})
+                .is_err(),
+            "batch boundaries {bad:?}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 

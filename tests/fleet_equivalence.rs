@@ -626,6 +626,34 @@ fn smallest_failing_node_is_thread_count_invariant() {
     }
 }
 
+/// The topology builds alongside node prep on more than one worker,
+/// but its error still ranks after every node error: coincident
+/// positions alone fail with the topology's error, and with a bad node
+/// config too the node error wins — at every thread count.
+#[test]
+fn topology_error_ranks_after_node_errors_across_threads() {
+    let mut spec = homogeneous_spec(9);
+    spec.nodes[5].position = spec.nodes[2].position;
+    for threads in [1, 2, 8] {
+        match FleetSimulator::prepare(spec.clone(), threads) {
+            Err(NetError::InvalidParameter { message }) => assert!(
+                message.contains("coincident"),
+                "prep@{threads}t: unexpected error {message}"
+            ),
+            Err(other) => panic!("prep@{threads}t: expected topology error, got {other:?}"),
+            Ok(_) => panic!("prep@{threads}t: coincident nodes accepted"),
+        }
+    }
+    spec.nodes[6].config.storage.capacitance = 0.0;
+    for threads in [1, 2, 8] {
+        match FleetSimulator::prepare(spec.clone(), threads) {
+            Err(NetError::Node { node, .. }) => assert_eq!(node, 6, "prep@{threads}t"),
+            Err(other) => panic!("prep@{threads}t: expected node error, got {other:?}"),
+            Ok(_) => panic!("prep@{threads}t: expected node error, got a fleet"),
+        }
+    }
+}
+
 /// Environment-factory failures obey the same contract: with factory
 /// failures at nodes 2 and 5 *and* a config failure at node 6, the
 /// surfaced error is always node 2's environment error — across
@@ -655,6 +683,130 @@ fn env_factory_failure_reports_smallest_node_across_threads() {
             }
             Err(other) => panic!("prep@{threads}t: expected env error, got {other:?}"),
             Ok(_) => panic!("prep@{threads}t: expected env error, got a fleet"),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// One-pass route epochs against the prefix-re-run oracle
+// ---------------------------------------------------------------------------
+
+use ehsim::net::FleetOutcome;
+use ehsim::vibration::{Envelope, VibrationSource};
+use std::sync::Arc;
+
+const THREADS: [usize; 3] = [1, 2, 8];
+const DISPATCHES: [Dispatch; 3] = [Dispatch::Auto, Dispatch::Batched, Dispatch::PerSim];
+
+/// Whole-outcome bit identity: per-node metrics, network accounts,
+/// fleet metrics and every epoch audit. `Debug` renders each `f64` in
+/// its shortest round-trip form, so for NaN-free outcomes equal
+/// renderings mean equal bits.
+fn assert_outcomes_bit_identical(a: &FleetOutcome, b: &FleetOutcome, label: &str) {
+    let (a, b) = (format!("{a:?}"), format!("{b:?}"));
+    assert!(!a.contains("NaN"), "{label}: outcome holds a NaN");
+    assert_eq!(a, b, "{label}: outcome differs from the prefix oracle");
+}
+
+/// The one-pass run equals the prefix-re-run oracle bit for bit, at
+/// E ∈ {1, 3, 16}, on 1/2/8 threads and every dispatch — for the
+/// starved-node fleet (a mid-run brown-out and repair) and for a
+/// mixed-tick fleet (per-sim fallback; boundaries round differently
+/// per tick length).
+#[test]
+fn one_pass_epochs_match_prefix_oracle() {
+    for (spec, what) in [
+        (starved_node_spec(13), "starved"),
+        (mixed_tick_spec(11), "mixed-tick"),
+    ] {
+        for epochs in [1, 3, 16] {
+            let mut spec = spec.clone();
+            spec.route_epochs = epochs;
+            let fleet = FleetSimulator::new(spec).expect("valid fleet");
+            let oracle = fleet
+                .run_reference(1, Dispatch::PerSim)
+                .expect("oracle runs");
+            assert_eq!(oracle.metrics.epochs.len(), epochs);
+            for threads in THREADS {
+                for dispatch in DISPATCHES {
+                    let label = format!("{what} E={epochs} {dispatch:?}@{threads}t");
+                    if dispatch == Dispatch::Batched && !fleet.is_homogeneous() {
+                        assert!(fleet.run_with_dispatch(threads, dispatch).is_err());
+                        continue;
+                    }
+                    let out = fleet
+                        .run_with_dispatch(threads, dispatch)
+                        .expect("fleet runs");
+                    assert_outcomes_bit_identical(&out, &oracle, &label);
+                }
+            }
+        }
+    }
+}
+
+/// The factory floor, except that chosen nodes' sources turn
+/// non-finite from a chosen time on — failing those nodes mid-run.
+struct PoisonAfter {
+    inner: Arc<dyn VibrationSource>,
+    t_poison: f64,
+}
+
+impl VibrationSource for PoisonAfter {
+    fn acceleration(&self, t: f64) -> f64 {
+        self.inner.acceleration(t)
+    }
+    fn envelope(&self, t: f64) -> Envelope {
+        let mut env = self.inner.envelope(t);
+        if t >= self.t_poison {
+            env.amp = f64::NAN;
+        }
+        env
+    }
+}
+
+/// The prefix loop's error contract survives the one-pass node phase:
+/// node 7 fails in epoch 1 and node 2 in epoch 5, so the run fails
+/// with node 7 — the first epoch's failure, not the smaller index —
+/// on every thread count and dispatch, exactly as the oracle does.
+#[test]
+fn earliest_epoch_failure_wins_over_smaller_node() {
+    let mut spec = homogeneous_spec(9);
+    // 45 s in 8 epochs of 5.625 s at a 0.5 s tick.
+    spec.route_epochs = 8;
+    let poison = [
+        (node_seed(spec.fleet_seed, 7), 8.0),  // epoch 1: (5.625, 11.25]
+        (node_seed(spec.fleet_seed, 2), 30.0), // epoch 5: (28.125, 33.75]
+    ];
+    let floor = FleetEnvironment::factory_floor();
+    spec.environment = FleetEnvironment::new("poisoned-floor", move |seed| {
+        let inner = floor.source_for(seed)?;
+        Ok(match poison.iter().find(|(s, _)| *s == seed) {
+            Some(&(_, t_poison)) => Arc::new(PoisonAfter { inner, t_poison }),
+            None => inner,
+        })
+    });
+    let fleet = FleetSimulator::new(spec).expect("valid fleet");
+    let oracle = match fleet.run_reference(1, Dispatch::PerSim) {
+        Err(NetError::Node { node: 7, source }) => source.to_string(),
+        other => panic!("oracle: expected node 7 to fail, got {other:?}"),
+    };
+    for threads in THREADS {
+        for dispatch in DISPATCHES {
+            for (run, what) in [
+                (fleet.run_with_dispatch(threads, dispatch), "one-pass"),
+                (fleet.run_reference(threads, dispatch), "oracle"),
+            ] {
+                match run {
+                    Err(NetError::Node { node: 7, source }) => assert_eq!(
+                        source.to_string(),
+                        oracle,
+                        "{what} {dispatch:?}@{threads}t: error text"
+                    ),
+                    other => {
+                        panic!("{what} {dispatch:?}@{threads}t: expected node 7, got {other:?}")
+                    }
+                }
+            }
         }
     }
 }
