@@ -506,8 +506,9 @@ impl FleetSimulator {
         let topology = topology.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
         let mut sources: Vec<Arc<dyn VibrationSource>> = Vec::with_capacity(spec.nodes.len());
         let mut max_ticks = 0;
-        // Collected in place: the simulators reuse the results buffer.
-        let prepared = results
+        // Collected in place: the simulators reuse the results buffer,
+        // and the smaller elements leave a tail that is given back below.
+        let mut prepared = results
             .into_iter()
             .map(|r| {
                 let (p, ticks, s) = r?;
@@ -516,6 +517,7 @@ impl FleetSimulator {
                 Ok(p)
             })
             .collect::<Result<Vec<_>>>()?;
+        prepared.shrink_to_fit();
         // An epoch needs at least one tick of some node: this bounds
         // every per-epoch allocation by the work of the node phase.
         if spec.route_epochs > max_ticks {

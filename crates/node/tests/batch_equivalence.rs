@@ -9,7 +9,7 @@ use ehsim_node::energy_policy::{EnergyAware, PolicyKind, Threshold};
 use ehsim_node::{
     BatchSimulator, DutyCyclePolicy, NodeConfig, NodeMetrics, PreparedSimulator, SolverMode,
 };
-use ehsim_vibration::{DriftSchedule, Envelope, Sine, VibrationSource};
+use ehsim_vibration::{AmplitudeSchedule, DriftSchedule, Envelope, Sine, VibrationSource};
 use proptest::prelude::*;
 
 fn assert_metrics_bitwise_eq(a: &NodeMetrics, b: &NodeMetrics, what: &str) {
@@ -37,9 +37,26 @@ fn resonant_sine(cfg: &NodeConfig, amp: f64) -> Sine {
     Sine::new(amp, f).expect("valid source")
 }
 
-/// The fixture matrix: every duty-cycle policy family × every energy
-/// policy family × {stationary, weak, cold-start, drifting} workloads.
+/// The fixture matrix: a lean node on a fading machine first, then
+/// every duty-cycle policy family × every energy policy family ×
+/// {stationary, weak, cold-start, drifting} workloads.
 fn fixture_cases() -> Vec<(NodeConfig, Box<dyn VibrationSource>)> {
+    // Lean e12-style node (30 mF, 4 s period) on a 64 Hz machine fading
+    // 0.9 → 0.25 → 0.9: near the dead-zone crossing its PPU fixed point
+    // oscillates without converging, so these solves use the whole
+    // iteration budget and retire on the lock-step solve's last round.
+    let mut lean = NodeConfig::default_node();
+    lean.initial_position = lean.harvester.position_for_frequency(64.0);
+    lean.storage.capacitance = 0.03;
+    lean.task.period_s = 4.0;
+    let knots = vec![
+        (0.0, 0.9),
+        (180.0, 0.9),
+        (240.0, 0.25),
+        (450.0, 0.25),
+        (510.0, 0.9),
+    ];
+    let fading = AmplitudeSchedule::new(knots, 64.0).unwrap();
     let duty_policies = [
         DutyCyclePolicy::Fixed,
         DutyCyclePolicy::StorageLinear { max_stretch: 6.0 },
@@ -55,7 +72,7 @@ fn fixture_cases() -> Vec<(NodeConfig, Box<dyn VibrationSource>)> {
         }),
         PolicyKind::EnergyAware(EnergyAware::default()),
     ];
-    let mut cases: Vec<(NodeConfig, Box<dyn VibrationSource>)> = Vec::new();
+    let mut cases: Vec<(NodeConfig, Box<dyn VibrationSource>)> = vec![(lean, Box::new(fading))];
     for (di, duty) in duty_policies.into_iter().enumerate() {
         for (ei, energy) in energy_policies.into_iter().enumerate() {
             let mut base = NodeConfig::default_node();

@@ -16,15 +16,17 @@
 //! [`PreparedPpu::operating_point`] (or, given a usable seed,
 //! [`PreparedPpu::operating_point_from`]): the same seed resolution,
 //! the same per-iteration body, the same damping and the same exit
-//! tests, merely interleaved with other lanes between rounds. Lanes
-//! never exchange data, so every lane's result is bit-identical to the
-//! scalar solve by construction — asserted by the property suite below
-//! and by the `ehsim-node` batch-equivalence suite on whole runs.
+//! tests, merely interleaved with other lanes between rounds. Both
+//! solves share one iteration budget: a lane that has not converged
+//! when it runs the budget's last iteration retires there with that
+//! iteration's operating point, which is exactly what the scalar solve
+//! returns when its loop runs out. Lanes never exchange data, so every
+//! lane's result is bit-identical to the scalar solve by construction —
+//! asserted by the property suite below and by the `ehsim-node`
+//! batch-equivalence suite on whole runs.
 
-use crate::{PpuOperatingPoint, PreparedPpu};
+use crate::{PpuOperatingPoint, PreparedPpu, MAX_ITERS};
 use ehsim_numeric::complex::Complex;
-
-const MAX_ITERS: usize = 60;
 
 /// Reusable lock-step solver: scratch state for `W` lanes, reused
 /// across calls (a per-tick caller pays no per-call allocation once the
@@ -34,8 +36,8 @@ pub struct BatchPpuSolver {
     v_pk: Vec<f64>,
     r_droop: Vec<f64>,
     /// Lanes still iterating, in lane order — compacted as lanes
-    /// converge so late rounds touch only the stragglers instead of
-    /// scanning the whole width.
+    /// retire so late rounds touch only the unconverged lanes instead
+    /// of scanning the whole width.
     iterating: Vec<u32>,
 }
 
@@ -137,25 +139,26 @@ impl BatchPpuSolver {
 
         // Lock-step rounds: round r runs iteration r of the scalar
         // fixed point for every lane still iterating, and converged
-        // lanes are compacted out so late rounds cost only the
-        // stragglers. The per-lane body below is a verbatim
+        // lanes are compacted out so late rounds touch only the lanes
+        // still iterating. The per-lane body below is a verbatim
         // transcription of `PreparedPpu::solve`; `retain` keeps lane
         // order, so each lane sees exactly the scalar float sequence.
         // One deviation that cannot change bits: the scalar solve
         // overwrites its (register-resident) operating point every
         // iteration, while here `out[i]` is a memory store — so it is
-        // written once, on the iteration the lane retires; a lane that
-        // exhausts the rounds without converging replays the scalar
-        // solve below to recover its last-iteration point.
+        // written once, on the round the lane retires. A lane retires
+        // when it converges or on the last round, whose point is the
+        // one the scalar solve returns after exhausting its budget.
         let BatchPpuSolver {
             v_pk: v_pks,
             r_droop: r_droops,
             iterating,
         } = self;
-        for _ in 0..MAX_ITERS {
+        for round in 0..MAX_ITERS {
             if iterating.is_empty() {
                 break;
             }
+            let last = round + 1 == MAX_ITERS;
             iterating.retain(|&iu| {
                 let i = iu as usize;
                 let n2 = ppus[i].n2;
@@ -166,7 +169,7 @@ impl BatchPpuSolver {
                 let i_out = ((v_out_oc - v_store[i]) / r_droop).max(0.0);
                 if i_out <= 0.0 {
                     let v_next = v_oc[i];
-                    if (v_next - v_pk).abs() < 1e-12 {
+                    if last || (v_next - v_pk).abs() < 1e-12 {
                         out[i] = PpuOperatingPoint {
                             p_store_w: 0.0,
                             i_out_a: 0.0,
@@ -189,7 +192,7 @@ impl BatchPpuSolver {
                     f64::INFINITY
                 };
                 let v_next = v_oc[i] * r_eq / (z_src[i] + Complex::real(r_eq)).abs();
-                if (v_next - v_pk).abs() < 1e-9 * v_pk.max(1e-9) {
+                if last || (v_next - v_pk).abs() < 1e-9 * v_pk.max(1e-9) {
                     out[i] = PpuOperatingPoint {
                         p_store_w: p_store,
                         i_out_a: i_out,
@@ -202,18 +205,6 @@ impl BatchPpuSolver {
                 v_pks[i] = 0.5 * (v_pk + v_next);
                 true
             });
-        }
-
-        // Rare straggler path: lanes that never met the convergence test
-        // within the round budget. The scalar solve with the same seed
-        // replays the identical iteration sequence, so its (equally
-        // unconverged) final operating point is bit-identical to what
-        // the per-iteration stores used to produce.
-        for &iu in iterating.iter() {
-            let i = iu as usize;
-            out[i] = ppus[i]
-                .operating_point_from(seed[i], v_oc[i], z_src[i], freq_hz[i], v_store[i])
-                .expect("inputs validated in the pre-phase");
         }
     }
 }
@@ -231,6 +222,44 @@ mod tests {
             op.p_in_w.to_bits(),
             op.efficiency.to_bits(),
         ]
+    }
+
+    /// Solves every lane in one batch call and asserts each result is
+    /// bit-identical to the scalar solve of the same inputs: the cold
+    /// entry point for a NaN seed, the warm one otherwise.
+    fn assert_batch_matches_scalar(
+        solver: &mut BatchPpuSolver,
+        ppus: &[PreparedPpu],
+        v_oc: &[f64],
+        z_src: &[Complex],
+        freq: &[f64],
+        v_store: &[f64],
+        seed: &[f64],
+    ) -> Vec<PpuOperatingPoint> {
+        let w = ppus.len();
+        let unset = PpuOperatingPoint {
+            p_store_w: -1.0,
+            i_out_a: -1.0,
+            v_in_amp: -1.0,
+            p_in_w: -1.0,
+            efficiency: -1.0,
+        };
+        let (mut out, mut ok) = (vec![unset; w], vec![false; w]);
+        let active = vec![true; w];
+        solver.solve(
+            ppus, v_oc, z_src, freq, v_store, seed, &active, &mut out, &mut ok,
+        );
+        for i in 0..w {
+            assert!(ok[i], "lane {i}");
+            let scalar = if seed[i].is_nan() {
+                ppus[i].operating_point(v_oc[i], z_src[i], freq[i], v_store[i])
+            } else {
+                ppus[i].operating_point_from(seed[i], v_oc[i], z_src[i], freq[i], v_store[i])
+            };
+            let want = op_bits(&scalar.unwrap());
+            assert_eq!(op_bits(&out[i]), want, "lane {i}, seed {}", seed[i]);
+        }
+        out
     }
 
     /// Drives the batch solver over a grid of heterogeneous lanes and
@@ -258,46 +287,17 @@ mod tests {
         let v_store: Vec<f64> = (0..w)
             .map(|i| if i == 7 { 40.0 } else { 0.5 * i as f64 })
             .collect();
-        let active = vec![true; w];
-        let mut out = vec![
-            PpuOperatingPoint {
-                p_store_w: -1.0,
-                i_out_a: -1.0,
-                v_in_amp: -1.0,
-                p_in_w: -1.0,
-                efficiency: -1.0,
-            };
-            w
-        ];
-        let mut ok = vec![false; w];
         let mut solver = BatchPpuSolver::new();
+        let mut check = |seed: &[f64]| {
+            assert_batch_matches_scalar(&mut solver, &ppus, &v_oc, &z_src, &freq, &v_store, seed)
+        };
 
-        // Cold start.
-        let seed = vec![f64::NAN; w];
-        solver.solve(
-            &ppus, &v_oc, &z_src, &freq, &v_store, &seed, &active, &mut out, &mut ok,
-        );
-        for i in 0..w {
-            assert!(ok[i], "lane {i}");
-            let scalar = ppus[i]
-                .operating_point(v_oc[i], z_src[i], freq[i], v_store[i])
-                .unwrap();
-            assert_eq!(op_bits(&out[i]), op_bits(&scalar), "cold lane {i}");
-        }
-
-        // Warm start from each lane's converged amplitude (plus a
-        // non-positive seed that must fall back to cold).
-        let mut seed: Vec<f64> = out.iter().map(|op| op.v_in_amp).collect();
+        // Cold start, then warm from each lane's converged amplitude
+        // (plus a non-positive seed that must fall back to cold).
+        let cold = check(&vec![f64::NAN; w]);
+        let mut seed: Vec<f64> = cold.iter().map(|op| op.v_in_amp).collect();
         seed[3] = -1.0;
-        solver.solve(
-            &ppus, &v_oc, &z_src, &freq, &v_store, &seed, &active, &mut out, &mut ok,
-        );
-        for i in 0..w {
-            let scalar = ppus[i]
-                .operating_point_from(seed[i], v_oc[i], z_src[i], freq[i], v_store[i])
-                .unwrap();
-            assert_eq!(op_bits(&out[i]), op_bits(&scalar), "warm lane {i}");
-        }
+        check(&seed);
     }
 
     #[test]
@@ -331,5 +331,100 @@ mod tests {
         );
         // The inactive lane is untouched.
         assert_eq!(op_bits(&out[2]), op_bits(&sentinel));
+    }
+
+    /// Test-local copy of the scalar fixed point that reports how the
+    /// loop ended: `Some(n)` if the convergence test held on iteration
+    /// `n`, `None` if the budget ran out, plus whether the last
+    /// iteration took the loaded branch.
+    fn scalar_iterations(
+        ppu: &PreparedPpu,
+        seed: f64,
+        v_oc: f64,
+        z_src: Complex,
+        freq_hz: f64,
+        v_store: f64,
+    ) -> (Option<usize>, bool) {
+        let r_droop = ppu.droop_resistance(freq_hz);
+        let (n2, v_d) = (ppu.n2, ppu.v_d);
+        let mut v_pk = if seed.is_finite() && seed > 0.0 {
+            seed
+        } else {
+            v_oc
+        };
+        let mut loaded = false;
+        for n in 1..=MAX_ITERS {
+            let i_out = ((n2 * (v_pk - v_d).max(0.0) - v_store) / r_droop).max(0.0);
+            loaded = i_out > 0.0;
+            let v_next = if loaded {
+                let p_in = v_store * i_out + n2 * v_d * i_out + i_out * i_out * r_droop;
+                let r_eq = (v_pk * v_pk / (2.0 * p_in)).max(1e-3);
+                let v_next = v_oc * r_eq / (z_src + Complex::real(r_eq)).abs();
+                if (v_next - v_pk).abs() < 1e-9 * v_pk.max(1e-9) {
+                    return (Some(n), loaded);
+                }
+                v_next
+            } else {
+                if (v_oc - v_pk).abs() < 1e-12 {
+                    return (Some(n), loaded);
+                }
+                v_oc
+            };
+            v_pk = 0.5 * (v_pk + v_next);
+        }
+        (None, loaded)
+    }
+
+    /// Lanes in the fixed point's non-contracting corner (a slow,
+    /// non-periodic oscillation near the dead-zone crossing, measured
+    /// under a fading machine) use the whole iteration budget and
+    /// retire on the last round. Mixed with converging and dead-zone
+    /// lanes, cold and warm, every lane must still match the scalar
+    /// solve bit for bit.
+    #[test]
+    fn batch_budget_exhausted_lanes_match_scalar_bit_for_bit() {
+        let ppu = Multiplier::default().prepared().unwrap();
+        assert_eq!((ppu.n2, ppu.v_d), (6.0, 0.3));
+        let corner_z = Complex::new(31949.36212934818, 201.06192982974676);
+        // (v_oc, z_src, v_store, corner?) — corner lanes interleaved
+        // with a converging loaded lane, an unloaded lane that
+        // converges at once, and a dead-zone lane.
+        let lanes = [
+            (0.8335905792668576, corner_z, 3.185, true),
+            (1.5, Complex::real(2e3), 1.0, false),
+            (0.8335905792668576, corner_z, 3.10, true),
+            (0.8335905792668576, corner_z, 3.30, false),
+            (0.8335905792668576, corner_z, 3.15, true),
+            (0.2, corner_z, 3.185, false),
+            (0.8335905792668576, corner_z, 3.20, true),
+        ];
+        let w = lanes.len();
+        let v_oc: Vec<f64> = lanes.iter().map(|l| l.0).collect();
+        let z_src: Vec<Complex> = lanes.iter().map(|l| l.1).collect();
+        let v_store: Vec<f64> = lanes.iter().map(|l| l.2).collect();
+        let (ppus, freq) = (vec![ppu; w], vec![64.0; w]);
+        let mut solver = BatchPpuSolver::new();
+        let mut run = |seed: &[f64]| {
+            assert_batch_matches_scalar(&mut solver, &ppus, &v_oc, &z_src, &freq, &v_store, seed)
+        };
+
+        // Cold, then warm from each lane's own cold point and from a
+        // fixed amplitude.
+        let cold = vec![f64::NAN; w];
+        let own: Vec<f64> = run(&cold).iter().map(|op| op.v_in_amp).collect();
+        let mut last_branches = Vec::new();
+        for seed in [cold, own, vec![0.8; w]] {
+            run(&seed);
+            for (i, lane) in lanes.iter().enumerate().filter(|(_, l)| l.0 > ppu.v_d) {
+                let (converged, loaded) =
+                    scalar_iterations(&ppu, seed[i], v_oc[i], z_src[i], 64.0, v_store[i]);
+                assert_eq!(converged.is_none(), lane.3, "lane {i}, seed {}", seed[i]);
+                if lane.3 {
+                    last_branches.push(loaded);
+                }
+            }
+        }
+        // The last round retires lanes from both branches of the body.
+        assert!(last_branches.contains(&true) && last_branches.contains(&false));
     }
 }

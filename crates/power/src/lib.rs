@@ -31,7 +31,7 @@ pub mod frontend;
 
 pub use batch::BatchPpuSolver;
 
-use ehsim_circuit::{DiodeModel, Netlist, NodeId, SolverBackend};
+use ehsim_circuit::{DiodeModel, Netlist, NodeId};
 use ehsim_numeric::complex::Complex;
 use std::error::Error;
 use std::fmt;
@@ -84,6 +84,11 @@ impl From<ehsim_circuit::CircuitError> for PowerError {
 
 /// Convenience result alias.
 pub type Result<T> = std::result::Result<T, PowerError>;
+
+/// Iteration budget of the PPU fixed point, shared by the scalar solve
+/// and the lock-step [`BatchPpuSolver`]; the batch solver's last-round
+/// retirement is bit-exact only while both use this one budget.
+const MAX_ITERS: usize = 60;
 
 /// An N-stage Cockcroft–Walton (Villard cascade) voltage multiplier.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -155,18 +160,9 @@ pub struct PreparedPpu {
     v_d: f64,
     droop_num: f64,
     stage_capacitance: f64,
-    backend: SolverBackend,
 }
 
 impl PreparedPpu {
-    /// Linear-solver backend to use when this PPU is verified at
-    /// circuit level (the [`Multiplier::attach`] ladder simulated by a
-    /// transient engine). The behavioural fixed-point solve itself is
-    /// matrix-free and ignores it.
-    pub fn backend(&self) -> SolverBackend {
-        self.backend
-    }
-
     /// Classic CW output droop resistance at excitation frequency `f`.
     pub fn droop_resistance(&self, freq_hz: f64) -> f64 {
         self.droop_num / (freq_hz * self.stage_capacitance)
@@ -273,7 +269,7 @@ impl PreparedPpu {
         // resistance -> loaded v_pk.
         let mut v_pk = seed.unwrap_or(v_oc);
         let mut op = idle;
-        for _ in 0..60 {
+        for _ in 0..MAX_ITERS {
             let v_out_oc = n2 * (v_pk - v_d).max(0.0);
             let i_out = ((v_out_oc - v_store) / r_droop).max(0.0);
             if i_out <= 0.0 {
@@ -327,18 +323,6 @@ impl Multiplier {
     ///
     /// Propagates [`Multiplier::validate`] failures.
     pub fn prepared(&self) -> Result<PreparedPpu> {
-        self.prepared_with_backend(SolverBackend::Auto)
-    }
-
-    /// [`Multiplier::prepared`] with an explicit circuit-level solver
-    /// backend (see [`PreparedPpu::backend`]). The behavioural solve is
-    /// unaffected; the backend only steers circuit-level verification
-    /// of the same multiplier.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Multiplier::validate`] failures.
-    pub fn prepared_with_backend(&self, backend: SolverBackend) -> Result<PreparedPpu> {
         self.validate()?;
         let n = self.stages as f64;
         Ok(PreparedPpu {
@@ -346,7 +330,6 @@ impl Multiplier {
             v_d: self.diode.v_fwd,
             droop_num: 2.0 * n * n * n / 3.0 + n * n / 2.0 - n / 6.0,
             stage_capacitance: self.stage_capacitance,
-            backend,
         })
     }
 
@@ -735,25 +718,6 @@ mod tests {
             v_end > 0.8 * ideal && v_end <= ideal + 0.1,
             "v_end = {v_end}, ideal = {ideal}"
         );
-    }
-
-    #[test]
-    fn prepared_backend_defaults_to_auto_and_is_inert() {
-        let m = Multiplier::default();
-        let auto = m.prepared().unwrap();
-        assert_eq!(auto.backend(), SolverBackend::Auto);
-        let sparse = m
-            .prepared_with_backend(SolverBackend::SparseNatural)
-            .unwrap();
-        assert_eq!(sparse.backend(), SolverBackend::SparseNatural);
-        // The behavioural solve is matrix-free: backend choice must not
-        // change a single bit of the operating point.
-        let z = Complex::real(2e3);
-        let a = auto.operating_point(1.5, z, 60.0, 1.0).unwrap();
-        let b = sparse.operating_point(1.5, z, 60.0, 1.0).unwrap();
-        assert_eq!(a.p_store_w.to_bits(), b.p_store_w.to_bits());
-        assert_eq!(a.i_out_a.to_bits(), b.i_out_a.to_bits());
-        assert_eq!(a.v_in_amp.to_bits(), b.v_in_amp.to_bits());
     }
 
     #[test]
