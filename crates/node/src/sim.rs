@@ -432,8 +432,7 @@ impl PreparedSimulator {
     /// [`NodeError::Model`] if a sub-model fails mid-run or the task
     /// schedule saturates its per-tick firing bound.
     pub fn run(&self, source: &dyn VibrationSource, duration_s: f64) -> Result<NodeMetrics> {
-        let (m, _) = self.run_internal(source, &[duration_s], None, &mut |_, _| {})?;
-        Ok(m)
+        self.run_internal(source, &[duration_s], None, &mut |_, _| {})
     }
 
     /// Runs to the last of `boundaries_s` (simulated times, s) in one
@@ -458,8 +457,7 @@ impl PreparedSimulator {
         boundaries_s: &[f64],
         on_snapshot: &mut dyn FnMut(usize, &NodeMetrics),
     ) -> Result<NodeMetrics> {
-        let (m, _) = self.run_internal(source, boundaries_s, None, on_snapshot)?;
-        Ok(m)
+        self.run_internal(source, boundaries_s, None, on_snapshot)
     }
 
     /// Runs and additionally records a trace sampled every
@@ -478,18 +476,23 @@ impl PreparedSimulator {
         if trace_stride == 0 {
             return Err(NodeError::invalid("trace stride must be >= 1"));
         }
-        let (m, tr) =
-            self.run_internal(source, &[duration_s], Some(trace_stride), &mut |_, _| {})?;
-        Ok((m, tr.expect("trace requested")))
+        let mut tr = SystemTrace::default();
+        let m = self.run_internal(
+            source,
+            &[duration_s],
+            Some((trace_stride, &mut tr)),
+            &mut |_, _| {},
+        )?;
+        Ok((m, tr))
     }
 
     fn run_internal(
         &self,
         source: &dyn VibrationSource,
         boundaries_s: &[f64],
-        trace_stride: Option<usize>,
+        mut trace: Option<(usize, &mut SystemTrace)>,
         on_snapshot: &mut dyn FnMut(usize, &NodeMetrics),
-    ) -> Result<(NodeMetrics, Option<SystemTrace>)> {
+    ) -> Result<NodeMetrics> {
         let cfg = &self.cfg;
         let dt = cfg.tick_s;
         let (mut snapshots, n_ticks) = SnapshotCursor::new(boundaries_s, dt)?;
@@ -520,8 +523,6 @@ impl PreparedSimulator {
         // Warm-start seed: the previous tick's converged input
         // amplitude.
         let mut prev_v_pk: Option<f64> = None;
-
-        let mut trace = trace_stride.map(|_| SystemTrace::default());
 
         for k in 0..n_ticks {
             let t = k as f64 * dt;
@@ -694,8 +695,8 @@ impl PreparedSimulator {
             }
             acc.min_v = acc.min_v.min(v);
 
-            if let (Some(stride), Some(tr)) = (trace_stride, trace.as_mut()) {
-                if k % stride == 0 {
+            if let Some((stride, tr)) = trace.as_mut() {
+                if k % *stride == 0 {
                     tr.t.push(t);
                     tr.v_store.push(v);
                     tr.resonance_hz.push(self.harv.resonant_frequency(pos));
@@ -713,7 +714,7 @@ impl PreparedSimulator {
             }
         }
 
-        Ok((acc.metrics(n_ticks, dt, v), trace))
+        Ok(acc.metrics(n_ticks, dt, v))
     }
 }
 

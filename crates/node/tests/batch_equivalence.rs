@@ -116,7 +116,7 @@ fn fixture_cases() -> Vec<(NodeConfig, Box<dyn VibrationSource>)> {
 
 fn run_fixture_widths(mode: SolverMode, duration_s: f64) {
     let cases = fixture_cases();
-    for width in [1usize, 3, 8, 64] {
+    for width in [1usize, 3, 8, 9, 17, 64] {
         let lanes: Vec<PreparedSimulator> = (0..width)
             .map(|j| {
                 PreparedSimulator::with_solver(cases[j % cases.len()].0.clone(), mode).unwrap()

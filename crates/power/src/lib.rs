@@ -182,7 +182,7 @@ impl PreparedPpu {
         freq_hz: f64,
         v_store: f64,
     ) -> Result<PpuOperatingPoint> {
-        self.solve(v_oc, z_src, freq_hz, v_store, None)
+        self.solve(v_oc, z_src, freq_hz, v_store, f64::NAN)
     }
 
     /// Warm-started behavioural operating point: the fixed-point
@@ -216,27 +216,40 @@ impl PreparedPpu {
         freq_hz: f64,
         v_store: f64,
     ) -> Result<PpuOperatingPoint> {
-        let seed = if prev_v_pk.is_finite() && prev_v_pk > 0.0 {
-            Some(prev_v_pk)
-        } else {
-            None
-        };
-        self.solve(v_oc, z_src, freq_hz, v_store, seed)
+        self.solve(v_oc, z_src, freq_hz, v_store, prev_v_pk)
     }
 
-    /// The shared fixed-point solve. With `seed == None` this is the
-    /// legacy cold start (`v_pk` starts at `v_oc`); the float-operation
-    /// sequence is kept identical to the pre-refactor
-    /// `Multiplier::operating_point` so cold results are bit-stable
-    /// across the refactor.
+    /// The shared fixed-point solve: the width-1 instance of the
+    /// lock-step iteration in [`batch`]. A non-finite or non-positive
+    /// `seed` selects the legacy cold start (`v_pk` starts at `v_oc`);
+    /// the float-operation sequence is kept identical to the
+    /// pre-refactor `Multiplier::operating_point` so cold results are
+    /// bit-stable across the refactor.
     fn solve(
         &self,
         v_oc: f64,
         z_src: Complex,
         freq_hz: f64,
         v_store: f64,
-        seed: Option<f64>,
+        seed: f64,
     ) -> Result<PpuOperatingPoint> {
+        Ok(match self.start(v_oc, z_src, freq_hz, v_store, seed)? {
+            Start::Idle(op) => op,
+            Start::Iterate(lane) => batch::solve_lane(lane),
+        })
+    }
+
+    /// The straight-line prefix of the solve, shared by the scalar and
+    /// the batched solve: validation, droop resistance, dead zone and
+    /// seed resolution.
+    fn start(
+        &self,
+        v_oc: f64,
+        z_src: Complex,
+        freq_hz: f64,
+        v_store: f64,
+        seed: f64,
+    ) -> Result<Start> {
         // Finiteness is part of the contract: an infinite frequency
         // (from a hostile vibration source) or an infinite open-circuit
         // amplitude must error here rather than seed the fixed-point
@@ -250,70 +263,39 @@ impl PreparedPpu {
                 "need finite freq > 0, v_oc >= 0, v_store >= 0 (got {freq_hz}, {v_oc}, {v_store})"
             )));
         }
-        let n2 = self.n2;
-        let r_droop = self.droop_resistance(freq_hz);
-        let v_d = self.v_d;
-
-        let idle = PpuOperatingPoint {
-            p_store_w: 0.0,
-            i_out_a: 0.0,
-            v_in_amp: v_oc,
-            p_in_w: 0.0,
-            efficiency: 0.0,
-        };
-        if v_oc <= v_d {
-            return Ok(idle);
+        if v_oc <= self.v_d {
+            return Ok(Start::Idle(PpuOperatingPoint {
+                p_store_w: 0.0,
+                i_out_a: 0.0,
+                v_in_amp: v_oc,
+                p_in_w: 0.0,
+                efficiency: 0.0,
+            }));
         }
-
-        // Fixed point: v_pk -> pump current -> equivalent input
-        // resistance -> loaded v_pk.
-        let mut v_pk = seed.unwrap_or(v_oc);
-        let mut op = idle;
-        for _ in 0..MAX_ITERS {
-            let v_out_oc = n2 * (v_pk - v_d).max(0.0);
-            let i_out = ((v_out_oc - v_store) / r_droop).max(0.0);
-            if i_out <= 0.0 {
-                // The pump cannot push charge at this storage voltage.
-                op = PpuOperatingPoint {
-                    p_store_w: 0.0,
-                    i_out_a: 0.0,
-                    v_in_amp: v_pk,
-                    p_in_w: 0.0,
-                    efficiency: 0.0,
-                };
-                // Unloaded: input floats back towards open circuit.
-                let v_next = v_oc;
-                if (v_next - v_pk).abs() < 1e-12 {
-                    break;
-                }
-                v_pk = 0.5 * (v_pk + v_next);
-                continue;
-            }
-            let p_store = v_store * i_out;
-            let p_diode = n2 * v_d * i_out;
-            let p_droop = i_out * i_out * r_droop;
-            let p_in = p_store + p_diode + p_droop;
-            // Equivalent fundamental input resistance.
-            let r_eq = if p_in > 0.0 {
-                (v_pk * v_pk / (2.0 * p_in)).max(1e-3)
+        Ok(Start::Iterate(batch::Lanes {
+            n2: [self.n2],
+            v_d: [self.v_d],
+            n2_v_d: [self.n2 * self.v_d],
+            r_droop: [self.droop_resistance(freq_hz)],
+            v_oc: [v_oc],
+            v_store: [v_store],
+            z_re: [z_src.re],
+            z_im: [z_src.im + 0.0],
+            v_pk: [if seed.is_finite() && seed > 0.0 {
+                seed
             } else {
-                f64::INFINITY
-            };
-            let v_next = v_oc * r_eq / (z_src + Complex::real(r_eq)).abs();
-            op = PpuOperatingPoint {
-                p_store_w: p_store,
-                i_out_a: i_out,
-                v_in_amp: v_pk,
-                p_in_w: p_in,
-                efficiency: if p_in > 0.0 { p_store / p_in } else { 0.0 },
-            };
-            if (v_next - v_pk).abs() < 1e-9 * v_pk.max(1e-9) {
-                break;
-            }
-            v_pk = 0.5 * (v_pk + v_next);
-        }
-        Ok(op)
+                v_oc
+            }],
+        }))
     }
+}
+
+/// How a solve starts, once its inputs are validated.
+enum Start {
+    /// Dead zone: the idle point is the answer.
+    Idle(PpuOperatingPoint),
+    /// The fixed point iterates from this lane.
+    Iterate(batch::Lanes<1>),
 }
 
 impl Multiplier {
@@ -449,7 +431,8 @@ impl Multiplier {
         freq_hz: f64,
         v_store: f64,
     ) -> Result<PpuOperatingPoint> {
-        self.prepared()?.solve(v_oc, z_src, freq_hz, v_store, None)
+        self.prepared()?
+            .solve(v_oc, z_src, freq_hz, v_store, f64::NAN)
     }
 }
 
