@@ -16,8 +16,8 @@
 //!    widths 1/4/16/64, in both `SolverMode::Exact` and
 //!    `SolverMode::Warm`, versus three per-sim baselines on the *same*
 //!    workload: the pre-refactor reference path, the per-sim exact
-//!    campaign shape (one `SystemSimulator` per job — what the
-//!    dispatcher's fallback runs), and the per-sim warm shape. Every
+//!    campaign shape (one `SystemSimulator` per job — what a one-lane
+//!    dispatcher chunk runs), and the per-sim warm shape. Every
 //!    batch pass must reproduce its same-mode per-sim bits — asserted
 //!    via a shared checksum.
 //! 3. **Sparse refactorization kernel** (`sparse_refactor`): on the

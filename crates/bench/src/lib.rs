@@ -18,8 +18,6 @@
 //! | `e11_policies` | Table E11 — DoE-optimised static tuning vs adaptive energy-management policies |
 //! | `e12_sequential` | Table E12 + `BENCH_sequential.json` — one-shot CCD vs budget-matched sequential RSM refinement |
 //! | `e13_fleet` | Table E13 — shared vs per-cluster harvester tuning for a 1k-node fleet's delivered-packet throughput |
-//!
-//! Criterion benches (`benches/`) time the same kernels statistically.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -169,8 +167,8 @@ pub fn e13_placement(n: usize) -> (Vec<Point>, Point, f64) {
 
 /// The e13 node baseline: the default node pre-tuned to the factory
 /// floor's 64 Hz backbone on a 0.5 s tick — every candidate tuning
-/// shares the tick, so e13 fleets stay homogeneous and ride the batch
-/// kernel's contiguous-chunk fast path.
+/// shares the tick, so an e13 fleet is one tick group and runs in
+/// batch-kernel chunks of up to 64 nodes.
 pub fn e13_base_config() -> NodeConfig {
     let mut cfg = NodeConfig::default_node();
     cfg.tick_s = 0.5;

@@ -1,11 +1,13 @@
 //! Campaign-level batched-dispatch equivalence tests.
 //!
-//! `Campaign::run_design` / `EnsembleCampaign::run_design` dispatch
-//! homogeneous designs to the SoA batch kernel. These tests pin the
-//! dispatch contract: responses are bit-identical to the per-point
-//! `evaluate_coded` oracle for every thread count, heterogeneous
-//! designs fall back to the per-sim path with identical results, and a
-//! mid-run failure surfaces the per-sim error.
+//! `Campaign::run_design` / `EnsembleCampaign::run_design` run their
+//! points through the node crate's lane dispatcher, which batches each
+//! tick group in the SoA batch kernel. These tests pin the dispatch
+//! contract: responses are bit-identical to the per-point
+//! `evaluate_coded` oracle for every thread count, designs whose
+//! points differ in tick length batch per tick group with identical
+//! results, and a mid-run failure surfaces the per-sim error of the
+//! smallest failing point.
 
 use ehsim_core::experiment::{
     Campaign, Configure, EnsembleCampaign, PolicyFactorSet, PolicyFactors, StandardFactors,
@@ -113,9 +115,9 @@ fn ensemble_campaign_matches_oracle_and_is_thread_count_invariant() {
         oracle_aggregate.push(aggregate);
     }
 
-    // 16 points over 8 threads takes the batched path; 32 threads over
-    // a 2-scenario ensemble exceeds the point count and falls back to
-    // per-sim scheduling — both must match the oracle bit for bit.
+    // 16 points over 8 threads run in chunks of two lanes; 32 threads
+    // exceed the point count, so every chunk is one lane run on its own
+    // simulator — both must match the oracle bit for bit.
     for threads in [1, 2, 8, 32] {
         let result = campaign.run_design(&design, threads).unwrap();
         assert_eq!(result.aggregate.sim_count, 32);
@@ -134,30 +136,39 @@ fn ensemble_campaign_matches_oracle_and_is_thread_count_invariant() {
     }
 }
 
-#[test]
-fn heterogeneous_tick_design_falls_back_and_still_matches_oracle() {
-    // A configure that varies tick_s across the design box: no shared
-    // tick program, so dispatch must take the per-sim fallback.
-    let configure: Configure = Arc::new(|phys: &[f64]| {
+/// A three-factor space whose `configure` sets the tick from the first
+/// two factors, so the eight points of a 2^3 design fall into tick
+/// groups. `tick(c_store_low, period_low)` picks the tick.
+fn tick_grouped_campaign(scenario: Scenario, tick: fn(bool, bool) -> f64) -> Campaign {
+    let configure: Configure = Arc::new(move |phys: &[f64]| {
         let mut cfg = NodeConfig::default_node();
         cfg.storage.capacitance = phys[0];
         cfg.task.period_s = phys[1];
-        cfg.tick_s = if phys[0] > 0.2 { 0.25 } else { 0.2 };
+        cfg.radio.tx_power_dbm = phys[2];
+        cfg.tick_s = tick(phys[0] < 0.2, phys[1] < 10.0);
         cfg
     });
     let space = DesignSpace::new(vec![
         Factor::new("c_store_f", 0.05, 0.5).unwrap(),
         Factor::new("task_period_s", 2.0, 30.0).unwrap(),
+        Factor::new("tx_power_dbm", -10.0, 4.0).unwrap(),
     ])
     .unwrap();
-    let campaign = Campaign::new(
-        space,
-        configure,
-        Scenario::stationary_machine(600.0),
-        indicators(),
-    )
-    .unwrap();
-    let design = full_factorial_2k(2).unwrap();
+    Campaign::new(space, configure, scenario, indicators()).unwrap()
+}
+
+#[test]
+fn heterogeneous_tick_design_falls_back_and_still_matches_oracle() {
+    // Two tick groups of four points: one chunk of four lanes per group
+    // on one thread, two of two on two threads, one-lane chunks on 8.
+    let campaign = tick_grouped_campaign(Scenario::stationary_machine(600.0), |low_c, _| {
+        if low_c {
+            0.2
+        } else {
+            0.25
+        }
+    });
+    let design = full_factorial_2k(3).unwrap();
     let oracle: Vec<Vec<f64>> = design
         .points()
         .iter()
@@ -170,6 +181,73 @@ fn heterogeneous_tick_design_falls_back_and_still_matches_oracle() {
             &oracle,
             &format!("heterogeneous-tick campaign, {threads} threads"),
         );
+    }
+}
+
+/// A source whose envelope turns invalid, with a time-stamped
+/// frequency `-t`, for `t` in `window` only — so only lanes whose tick
+/// grid lands in the window fail, each with its own error text.
+#[derive(Debug)]
+struct PoisonWindow {
+    inner: Sine,
+    window: (f64, f64),
+}
+
+impl VibrationSource for PoisonWindow {
+    fn acceleration(&self, t: f64) -> f64 {
+        self.inner.acceleration(t)
+    }
+
+    fn envelope(&self, t: f64) -> Envelope {
+        let mut env = self.inner.envelope(t);
+        if (self.window.0..=self.window.1).contains(&t) {
+            env.freq_hz = -t;
+        }
+        env
+    }
+}
+
+/// Points 0 and 4 (tick 0.25 s) fail at t = 120.25 s and points 1 and
+/// 5 (tick 0.2 s) at t ≈ 120.2 s; the 0.3 s and 0.4 s grids step over
+/// the window. The dispatcher forms the 0.2 s group before the 0.25 s
+/// group, yet point 0 — the smallest failing job — must supply the
+/// error at every thread count.
+#[test]
+fn smallest_failing_job_wins_across_tick_groups() {
+    let scenario = Scenario::new(
+        Arc::new(PoisonWindow {
+            inner: Sine::new(0.9, 64.0).unwrap(),
+            window: (120.15, 120.27),
+        }),
+        600.0,
+        "poison-window",
+    )
+    .unwrap();
+    let campaign = tick_grouped_campaign(scenario, |low_c, low_period| match (low_c, low_period) {
+        (true, true) => 0.25,
+        (false, true) => 0.2,
+        (true, false) => 0.3,
+        (false, false) => 0.4,
+    });
+    let design = full_factorial_2k(3).unwrap();
+    let per_point: Vec<Result<Vec<f64>, String>> = design
+        .points()
+        .iter()
+        .map(|p| campaign.evaluate_coded(p).map_err(|e| e.to_string()))
+        .collect();
+    let failing: Vec<usize> = (0..8).filter(|&p| per_point[p].is_err()).collect();
+    assert_eq!(failing, [0, 1, 4, 5], "fixture: failing points");
+    assert_ne!(
+        per_point[0], per_point[1],
+        "fixture: the groups' errors differ"
+    );
+    let want = per_point[0].clone().unwrap_err();
+    for threads in THREAD_COUNTS {
+        let got = campaign
+            .run_design(&design, threads)
+            .unwrap_err()
+            .to_string();
+        assert_eq!(got, want, "{threads} threads");
     }
 }
 

@@ -8,18 +8,18 @@
 //!
 //! 1. **Node phase** — every node's `ehsim-node` simulation runs
 //!    against its own vibration stream (seeds split from the fleet
-//!    seed via [`crate::node_seed`]). Homogeneous fleets (all lanes
-//!    sharing the tick length, bit for bit) auto-dispatch to
-//!    contiguous [`BatchSimulator`] chunks of at most
-//!    [`MAX_BATCH_WIDTH`] lanes; heterogeneous (mixed-tick) fleets
-//!    fall back to per-sim jobs. Both paths run on the same
-//!    deterministic self-scheduling queue, and the batch kernel is
-//!    bit-identical lane-for-lane to the per-sim path, so **the node
-//!    metrics do not depend on the dispatch strategy or the thread
-//!    count**. Per-node failures are captured individually
-//!    ([`FleetSimulator::run_nodes`]); the aggregate entry points
-//!    surface the **smallest failing node index** as a typed
-//!    [`NetError::Node`].
+//!    seed via [`crate::node_seed`]), through the node crate's lane
+//!    dispatcher ([`ehsim_node::sched::run_lanes`]). It groups the
+//!    nodes by tick length (bit for bit), so a mixed-tick fleet
+//!    batches too, and cuts each group into chunks of at most
+//!    [`MAX_BATCH_WIDTH`] lanes; a chunk of several nodes runs in the
+//!    batch kernel and a chunk of one runs its [`PreparedSimulator`].
+//!    The kernel is bit-identical lane-for-lane to the per-sim path,
+//!    so **the node metrics do not depend on the dispatch strategy,
+//!    the grouping or the thread count**. Per-node failures are
+//!    captured individually ([`FleetSimulator::run_nodes`]); the
+//!    aggregate entry points surface a typed [`NetError::Node`] (see
+//!    [`FleetSimulator::run_with_dispatch`] for which node).
 //!
 //! 2. **Network phase** — a sequential, node-index-ordered energy
 //!    accounting pass per epoch. Packets originate at each node
@@ -48,9 +48,9 @@
 //!
 //! The node phase runs **once** for all epochs: the tick loops emit a
 //! snapshot at each epoch boundary
-//! ([`BatchSimulator::run_lanes_with_snapshots`],
+//! ([`ehsim_node::BatchSimulator::run_lanes_with_snapshots`],
 //! [`PreparedSimulator::run_with_snapshots`]), bit-identical to a run
-//! stopped there, so per-epoch deltas are exact. Each job keeps only
+//! stopped there, so per-epoch deltas are exact. Each node keeps only
 //! the compact per-epoch sample the accounting reads and full metrics
 //! at the end. The prefix re-run — a node phase per boundary — stays
 //! as the differential oracle ([`FleetSimulator::run_reference`]). At
@@ -63,22 +63,15 @@
 //! phase's bit-exactness contract: identical [`FleetSpec`]s give
 //! bit-identical metrics for any thread count and dispatch.
 
-use crate::sched::{run_jobs, run_jobs_capturing};
 use crate::topology::Topology;
 use crate::{NetError, Point, RadioEnergyModel, Result};
-use ehsim_node::{
-    tick_count, BatchSimulator, NodeConfig, NodeMetrics, PreparedSimulator, SolverMode,
-};
+use ehsim_node::sched::{run_jobs, run_lanes, Excitation, LaneRun, MAX_BATCH_WIDTH};
+use ehsim_node::{tick_count, NodeConfig, NodeMetrics, PreparedSimulator, SolverMode};
 use ehsim_vibration::{FilteredNoise, VibrationSource};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::fmt;
 use std::sync::Arc;
-
-/// Upper bound on the lane width of one batched-dispatch chunk —
-/// mirrors the campaign scheduler's bound (wide enough to fill the
-/// lock-step PPU rounds, small enough to stay cache-resident).
-pub const MAX_BATCH_WIDTH: usize = 64;
 
 /// How packets are routed to the sink.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -290,12 +283,11 @@ impl FleetSpec {
 /// Node-phase dispatch strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Dispatch {
-    /// Batched chunks when the fleet is homogeneous, per-sim
-    /// otherwise (the default).
+    /// Batched chunks of up to [`MAX_BATCH_WIDTH`] nodes per tick
+    /// group (the default).
     Auto,
-    /// Force batched chunks; errors on a heterogeneous fleet.
-    Batched,
-    /// Force one job per node (the differential-testing oracle path).
+    /// One-node chunks, each running its own [`PreparedSimulator`]
+    /// (a test option: the per-sim side of the differential suites).
     PerSim,
 }
 
@@ -382,7 +374,7 @@ pub struct FleetOutcome {
 
 /// What the network accounting reads of one node at one epoch
 /// boundary — all a run keeps of an intermediate snapshot.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct EpochSample {
     packets_delivered: u64,
     final_v_store: f64,
@@ -399,17 +391,6 @@ impl From<&NodeMetrics> for EpochSample {
     }
 }
 
-/// One node-phase job's output for its contiguous run of nodes.
-struct NodeJob {
-    /// Intermediate-boundary samples, lane-major.
-    samples: Vec<EpochSample>,
-    /// Intermediate snapshots each lane reached; for a failed lane,
-    /// the first epoch whose prefix run fails.
-    reached: Vec<usize>,
-    /// Each lane's result at the final boundary.
-    finals: Vec<ehsim_node::Result<NodeMetrics>>,
-}
-
 /// Prepared, validated fleet: every node's simulator constructed once,
 /// vibration streams split, topology built.
 pub struct FleetSimulator {
@@ -417,7 +398,6 @@ pub struct FleetSimulator {
     prepared: Vec<PreparedSimulator>,
     sources: Vec<Arc<dyn VibrationSource>>,
     topology: Topology,
-    homogeneous: bool,
 }
 
 impl FleetSimulator {
@@ -474,9 +454,9 @@ impl FleetSimulator {
                 "route_epochs must be at least 1 (1 = static routing)",
             ));
         }
-        // Total validation on the capturing queue: every node's result
-        // exists, and the ascending scan below makes the
-        // smallest-failing-node error thread-count-invariant.
+        // Total validation: the queue runs every node's job, and the
+        // ascending scan below makes the smallest-failing-node error
+        // thread-count-invariant.
         let prep_node = |i: usize| {
             let prepared =
                 PreparedSimulator::with_solver(spec.nodes[i].config.clone(), spec.solver)
@@ -496,11 +476,11 @@ impl FleetSimulator {
         let (results, topology) = if threads > 1 {
             std::thread::scope(|scope| {
                 let topology = scope.spawn(build_topology);
-                let results = run_jobs_capturing(spec.nodes.len(), threads, prep_node);
+                let results = run_jobs(spec.nodes.len(), threads, prep_node);
                 (results, topology.join())
             })
         } else {
-            let results = run_jobs_capturing(spec.nodes.len(), threads, prep_node);
+            let results = run_jobs(spec.nodes.len(), threads, prep_node);
             (results, Ok(build_topology()))
         };
         let topology = topology.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
@@ -528,15 +508,11 @@ impl FleetSimulator {
             )));
         }
         let topology = topology?;
-        let homogeneous = prepared
-            .windows(2)
-            .all(|w| w[0].config().tick_s.to_bits() == w[1].config().tick_s.to_bits());
         Ok(FleetSimulator {
             spec,
             prepared,
             sources,
             topology,
-            homogeneous,
         })
     }
 
@@ -553,12 +529,6 @@ impl FleetSimulator {
     /// Fleet size.
     pub fn node_count(&self) -> usize {
         self.prepared.len()
-    }
-
-    /// Whether every lane shares the tick length (bitwise) — the
-    /// batched-dispatch eligibility test.
-    pub fn is_homogeneous(&self) -> bool {
-        self.homogeneous
     }
 
     /// The prepared per-node simulators (oracle access for the
@@ -578,8 +548,8 @@ impl FleetSimulator {
     ///
     /// # Errors
     ///
-    /// [`NetError::InvalidParameter`] if `dispatch` is
-    /// [`Dispatch::Batched`] on a heterogeneous fleet.
+    /// None for a prepared fleet; the `Result` reports a node phase
+    /// that could not be set up.
     pub fn run_nodes(
         &self,
         threads: usize,
@@ -596,72 +566,36 @@ impl FleetSimulator {
         dispatch: Dispatch,
         duration_s: f64,
     ) -> Result<Vec<ehsim_node::Result<NodeMetrics>>> {
-        let (_, jobs) = self.node_phase(threads, dispatch, &[duration_s])?;
-        Ok(jobs.into_iter().flat_map(|job| job.finals).collect())
+        let lanes = self.node_phase(threads, dispatch, &[duration_s])?;
+        Ok(lanes.into_iter().map(|lane| lane.result).collect())
     }
 
-    /// Phase 1 to the last of `bounds` in one pass, as jobs of
-    /// `width` contiguous nodes (returned with the jobs) on the
-    /// deterministic queue. Each job reduces its snapshots at the
-    /// earlier bounds to compact samples (lane-major, `bounds.len() -
-    /// 1` per lane) and keeps full metrics only at the last.
+    /// Phase 1 to the last of `bounds` in one pass on the node crate's
+    /// lane dispatcher, in node order. Each node reduces its snapshots
+    /// at the earlier bounds to compact samples and keeps full metrics
+    /// only at the last.
     fn node_phase(
         &self,
         threads: usize,
         dispatch: Dispatch,
         bounds: &[f64],
-    ) -> Result<(usize, Vec<NodeJob>)> {
-        let batched = match dispatch {
-            Dispatch::Auto => self.homogeneous,
-            Dispatch::PerSim => false,
-            Dispatch::Batched if self.homogeneous => true,
-            Dispatch::Batched => {
-                return Err(NetError::invalid(
-                    "batched dispatch requires a homogeneous (shared-tick) fleet",
-                ))
-            }
+    ) -> Result<Vec<LaneRun<EpochSample>>> {
+        let max_width = match dispatch {
+            Dispatch::Auto => MAX_BATCH_WIDTH,
+            Dispatch::PerSim => 1,
         };
-        let n = self.prepared.len();
-        // Contiguous chunks, one batch kernel per chunk. The width
-        // depends only on (n, threads) and results are collected in job
-        // order, so the output is invariant to scheduling.
-        let width = if batched {
-            n.div_ceil(threads.clamp(1, n)).clamp(1, MAX_BATCH_WIDTH)
-        } else {
-            1
-        };
-        let inner = bounds.len().saturating_sub(1);
-        let jobs = run_jobs(n.div_ceil(width), threads, |c| {
-            let lo = c * width;
-            let hi = (lo + width).min(n);
-            let mut samples = vec![EpochSample::default(); (hi - lo) * inner];
-            let mut reached = vec![0usize; hi - lo];
-            let mut keep = |b: usize, lane: usize, m: &NodeMetrics| {
-                samples[lane * inner + b] = EpochSample::from(m);
-                reached[lane] += 1;
-            };
-            let finals = if batched {
-                let batch = BatchSimulator::new(self.prepared[lo..hi].to_vec())
-                    .map_err(|source| NetError::Node { node: lo, source })?;
-                let srcs: Vec<&dyn VibrationSource> =
-                    self.sources[lo..hi].iter().map(|s| s.as_ref()).collect();
-                batch
-                    .run_lanes_with_snapshots(&srcs, bounds, &mut keep)
-                    .map_err(|source| NetError::Node { node: lo, source })?
-            } else {
-                vec![self.prepared[lo].run_with_snapshots(
-                    self.sources[lo].as_ref(),
-                    bounds,
-                    &mut |b, m| keep(b, 0, m),
-                )]
-            };
-            Ok(NodeJob {
-                samples,
-                reached,
-                finals,
-            })
-        })?;
-        Ok((width, jobs))
+        let sources: Vec<&dyn VibrationSource> = self.sources.iter().map(|s| s.as_ref()).collect();
+        run_lanes(
+            &self.prepared,
+            Excitation::PerLane {
+                sources: &sources,
+                bounds,
+            },
+            threads,
+            max_width,
+            |m| EpochSample::from(m),
+        )
+        .map_err(|e| NetError::invalid(format!("node phase: {e}")))
     }
 
     /// Runs the fleet with auto dispatch.
@@ -678,35 +612,31 @@ impl FleetSimulator {
     ///
     /// # Errors
     ///
-    /// As [`FleetSimulator::run`], plus
-    /// [`NetError::InvalidParameter`] for a forced-batched dispatch of
-    /// a heterogeneous fleet.
+    /// [`NetError::Node`] for the **earliest epoch** in which a node
+    /// simulation fails, and the smallest node failing in it — what
+    /// the prefix oracle ([`FleetSimulator::run_reference`]) reports.
     pub fn run_with_dispatch(&self, threads: usize, dispatch: Dispatch) -> Result<FleetOutcome> {
         let bounds = self.epoch_bounds();
         let inner = bounds.len() - 1;
-        let n = self.prepared.len();
-        let (width, jobs) = self.node_phase(threads, dispatch, &bounds)?;
+        let lanes = self.node_phase(threads, dispatch, &bounds)?;
 
         // The prefix loop's error contract: the first epoch at which
         // any node has failed, then the smallest node failing there. A
         // failed lane's snapshot count is that epoch.
-        let mut per_node = Vec::with_capacity(n);
-        let mut samples = Vec::with_capacity(jobs.len());
+        let mut per_node = Vec::with_capacity(lanes.len());
+        let mut samples = Vec::with_capacity(lanes.len());
         let mut failed: Option<(usize, usize, ehsim_node::NodeError)> = None;
-        let mut node = 0;
-        for job in jobs {
-            for (&epoch, lane) in job.reached.iter().zip(job.finals) {
-                match lane {
-                    Ok(m) => per_node.push(m),
-                    Err(source) => {
-                        if failed.as_ref().is_none_or(|f| epoch < f.0) {
-                            failed = Some((epoch, node, source));
-                        }
+        for (node, lane) in lanes.into_iter().enumerate() {
+            let epoch = lane.snapshots.len();
+            match lane.result {
+                Ok(m) => per_node.push(m),
+                Err(source) => {
+                    if failed.as_ref().is_none_or(|f| epoch < f.0) {
+                        failed = Some((epoch, node, source));
                     }
                 }
-                node += 1;
             }
-            samples.push(job.samples);
+            samples.push(lane.snapshots);
         }
         if let Some((_, node, source)) = failed {
             return Err(NetError::Node { node, source });
@@ -715,7 +645,7 @@ impl FleetSimulator {
             if e == inner {
                 EpochSample::from(&per_node[i])
             } else {
-                samples[i / width][(i % width) * inner + e]
+                samples[i][e]
             }
         })?;
         Ok(FleetOutcome {
@@ -1070,7 +1000,6 @@ mod tests {
     #[test]
     fn fleet_runs_and_accounts() {
         let fleet = FleetSimulator::new(tiny_spec(12, 30.0)).unwrap();
-        assert!(fleet.is_homogeneous());
         let out = fleet.run(2).unwrap();
         assert_eq!(out.per_node.len(), 12);
         assert_eq!(out.net.len(), 12);
@@ -1086,8 +1015,8 @@ mod tests {
         let fleet = FleetSimulator::new(tiny_spec(10, 30.0)).unwrap();
         let base = fleet.run_with_dispatch(1, Dispatch::PerSim).unwrap();
         for (threads, dispatch) in [
-            (1, Dispatch::Batched),
-            (4, Dispatch::Batched),
+            (1, Dispatch::Auto),
+            (4, Dispatch::Auto),
             (4, Dispatch::PerSim),
         ] {
             let out = fleet.run_with_dispatch(threads, dispatch).unwrap();
@@ -1103,17 +1032,6 @@ mod tests {
                 assert_eq!(a.final_v_store.to_bits(), b.final_v_store.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn forced_batched_rejects_mixed_ticks() {
-        let mut spec = tiny_spec(4, 10.0);
-        spec.nodes[2].config.tick_s = 0.25;
-        let fleet = FleetSimulator::new(spec).unwrap();
-        assert!(!fleet.is_homogeneous());
-        assert!(fleet.run_with_dispatch(2, Dispatch::Batched).is_err());
-        // Auto falls back per-sim and still runs.
-        assert!(fleet.run(2).is_ok());
     }
 
     /// More route epochs than the longest node run has ticks is a

@@ -30,7 +30,6 @@
 pub mod fleet;
 pub mod placement;
 pub mod radio;
-mod sched;
 pub mod topology;
 
 pub use fleet::{

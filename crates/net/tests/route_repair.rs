@@ -387,10 +387,9 @@ fn repaired_run_is_bit_identical_across_threads_and_dispatch() {
         .expect("base run");
     assert_eq!(base.metrics.route_repairs, 1);
     for (threads, dispatch) in [
-        (1, Dispatch::Batched),
+        (1, Dispatch::Auto),
         (2, Dispatch::Auto),
         (2, Dispatch::PerSim),
-        (8, Dispatch::Batched),
         (8, Dispatch::Auto),
     ] {
         let out = fleet
@@ -418,7 +417,7 @@ fn one_pass_run_matches_prefix_oracle() {
         let oracle_bits = format!("{oracle:?}");
         assert!(!oracle_bits.contains("NaN"), "E={epochs}: NaN in outcome");
         for threads in [1, 2, 8] {
-            for dispatch in [Dispatch::Auto, Dispatch::Batched, Dispatch::PerSim] {
+            for dispatch in [Dispatch::Auto, Dispatch::PerSim] {
                 let out = fleet
                     .run_with_dispatch(threads, dispatch)
                     .expect("one-pass run");

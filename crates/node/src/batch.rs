@@ -27,9 +27,9 @@
 //! to running each [`PreparedSimulator`] alone**, for every solver
 //! mode, duty-cycle policy and energy policy; the per-sim path remains
 //! the oracle and `tests/batch_equivalence.rs` asserts the contract
-//! across widths, policies and workloads. This is what lets
-//! `ehsim-core` campaigns dispatch homogeneous job groups to the batch
-//! kernel without perturbing a single CSV byte. The contract extends
+//! across widths, policies and workloads. This is what lets the lane
+//! dispatcher ([`crate::sched::run_lanes`]) batch each tick group of a
+//! campaign or fleet without perturbing a single CSV byte. The contract extends
 //! to snapshots: [`BatchSimulator::run_lanes_with_snapshots`] emits,
 //! at each boundary, exactly the per-sim run stopped there.
 //!
@@ -61,7 +61,7 @@ use ehsim_vibration::VibrationSource;
 /// reads a single contiguous array instead of chasing `NodeConfig`
 /// sub-structs.
 #[derive(Debug, Clone, Copy)]
-struct LaneConst {
+pub(crate) struct LaneConst {
     harv: PreparedHarvester,
     ppu: PreparedPpu,
     storage: Supercap,
@@ -81,7 +81,7 @@ struct LaneConst {
 }
 
 impl LaneConst {
-    fn from_prepared(p: &PreparedSimulator) -> Self {
+    pub(crate) fn from_prepared(p: &PreparedSimulator) -> Self {
         LaneConst {
             harv: p.harv,
             ppu: p.ppu,
@@ -106,7 +106,8 @@ impl LaneConst {
 /// How the batch is excited: one shared source (the campaign shape —
 /// the envelope is evaluated **once per tick** for the whole batch) or
 /// one source per lane.
-enum SourceBind<'a> {
+#[derive(Clone, Copy)]
+pub(crate) enum SourceBind<'a> {
     Shared(&'a dyn VibrationSource),
     PerLane(&'a [&'a dyn VibrationSource]),
 }
@@ -117,8 +118,9 @@ enum SourceBind<'a> {
 ///
 /// All lanes must share one *tick program* — the same `tick_s` (bit
 /// compared) and the same [`SolverMode`] — while every other
-/// configuration constant may vary per lane. Heterogeneous-tick work
-/// belongs on the per-sim path.
+/// configuration constant may vary per lane. The lane dispatcher
+/// ([`crate::sched::run_lanes`]) groups mixed-tick work into such
+/// programs.
 #[derive(Debug, Clone)]
 pub struct BatchSimulator {
     lanes: Vec<PreparedSimulator>,
@@ -271,310 +273,327 @@ impl BatchSimulator {
         boundaries_s: &[f64],
         on_snapshot: &mut dyn FnMut(usize, usize, &NodeMetrics),
     ) -> Result<Vec<Result<NodeMetrics>>> {
-        let w = self.lanes.len();
-        let dt = self.dt;
-        let (mut snapshots, n_ticks) = SnapshotCursor::new(boundaries_s, dt)?;
-        let warm = self.mode == SolverMode::Warm;
-
         let consts: Vec<LaneConst> = self.lanes.iter().map(LaneConst::from_prepared).collect();
-        let ppus: Vec<PreparedPpu> = consts.iter().map(|c| c.ppu).collect();
+        run_kernel(&consts, self.dt, self.mode, bind, boundaries_s, on_snapshot)
+    }
+}
 
-        // ---- per-lane hot state, SoA ----
-        let mut v: Vec<f64> = consts.iter().map(|c| c.v_store0).collect();
-        let mut pos: Vec<f64> = consts.iter().map(|c| c.initial_position).collect();
-        let mut running: Vec<bool> = consts
-            .iter()
-            .zip(&v)
-            .map(|(c, &v0)| c.thresholds.update(v0, false))
-            .collect();
-        let mut next_task_t = vec![0.0f64; w];
-        let mut next_check_t = vec![0.0f64; w];
-        let mut act_active = vec![false; w];
-        let mut act_start = vec![0.0f64; w];
-        let mut act_target = vec![0.0f64; w];
-        let mut act_t0 = vec![0.0f64; w];
-        let mut act_t1 = vec![0.0f64; w];
-        let mut ema = vec![0.0f64; w];
-        let mut ema_primed = vec![false; w];
-        let mut pstate: Vec<PolicyState> = consts
-            .iter()
-            .map(|c| c.energy_policy.initial_state())
-            .collect();
+/// The SoA tick loop over lanes that share one tick program (`dt`,
+/// `mode`): [`BatchSimulator`] runs its own lanes through it, and the
+/// lane dispatcher ([`crate::sched::run_lanes`]) runs each chunk of a
+/// tick group through it without cloning the chunk's
+/// [`PreparedSimulator`]s.
+pub(crate) fn run_kernel(
+    consts: &[LaneConst],
+    dt: f64,
+    mode: SolverMode,
+    bind: SourceBind<'_>,
+    boundaries_s: &[f64],
+    on_snapshot: &mut dyn FnMut(usize, usize, &NodeMetrics),
+) -> Result<Vec<Result<NodeMetrics>>> {
+    let w = consts.len();
+    let (mut snapshots, n_ticks) = SnapshotCursor::new(boundaries_s, dt)?;
+    let warm = mode == SolverMode::Warm;
 
-        // Thevenin memo and warm-start seed (NaN = no previous tick).
-        let mut thev_key = vec![(0u64, 0u64, 0u64); w];
-        let mut thev_voc = vec![0.0f64; w];
-        let mut thev_z = vec![Complex::real(0.0); w];
-        let mut thev_primed = vec![false; w];
-        let mut prev_v_pk = vec![f64::NAN; w];
+    let ppus: Vec<PreparedPpu> = consts.iter().map(|c| c.ppu).collect();
 
-        // Metric accumulators.
-        let mut acc = vec![MetricAcc::NEW; w];
-        let mut ever_on: Vec<bool> = running.clone();
+    // ---- per-lane hot state, SoA ----
+    let mut v: Vec<f64> = consts.iter().map(|c| c.v_store0).collect();
+    let mut pos: Vec<f64> = consts.iter().map(|c| c.initial_position).collect();
+    let mut running: Vec<bool> = consts
+        .iter()
+        .zip(&v)
+        .map(|(c, &v0)| c.thresholds.update(v0, false))
+        .collect();
+    let mut next_task_t = vec![0.0f64; w];
+    let mut next_check_t = vec![0.0f64; w];
+    let mut act_active = vec![false; w];
+    let mut act_start = vec![0.0f64; w];
+    let mut act_target = vec![0.0f64; w];
+    let mut act_t0 = vec![0.0f64; w];
+    let mut act_t1 = vec![0.0f64; w];
+    let mut ema = vec![0.0f64; w];
+    let mut ema_primed = vec![false; w];
+    let mut pstate: Vec<PolicyState> = consts
+        .iter()
+        .map(|c| c.energy_policy.initial_state())
+        .collect();
 
-        // Lane liveness and captured errors.
-        let mut alive = vec![true; w];
-        let mut err: Vec<Option<NodeError>> = (0..w).map(|_| None).collect();
-        let mut n_alive = w;
+    // Thevenin memo and warm-start seed (NaN = no previous tick).
+    let mut thev_key = vec![(0u64, 0u64, 0u64); w];
+    let mut thev_voc = vec![0.0f64; w];
+    let mut thev_z = vec![Complex::real(0.0); w];
+    let mut thev_primed = vec![false; w];
+    let mut prev_v_pk = vec![f64::NAN; w];
 
-        // Per-tick scratch: envelope and PPU solve lane arrays.
-        let mut env_f = vec![0.0f64; w];
-        let mut env_a = vec![0.0f64; w];
-        let mut in_voc = vec![0.0f64; w];
-        let mut in_z = vec![Complex::real(0.0); w];
-        let mut in_vst = vec![0.0f64; w];
-        let mut in_seed = vec![f64::NAN; w];
-        let mut solve_active = vec![false; w];
-        let mut ops = vec![
-            PpuOperatingPoint {
-                p_store_w: 0.0,
-                i_out_a: 0.0,
-                v_in_amp: 0.0,
-                p_in_w: 0.0,
-                efficiency: 0.0,
-            };
-            w
-        ];
-        let mut ok = vec![false; w];
-        let mut solver = BatchPpuSolver::new();
+    // Metric accumulators.
+    let mut acc = vec![MetricAcc::NEW; w];
+    let mut ever_on: Vec<bool> = running.clone();
 
-        for k in 0..n_ticks {
-            if n_alive == 0 {
-                break;
+    // Lane liveness and captured errors.
+    let mut alive = vec![true; w];
+    let mut err: Vec<Option<NodeError>> = (0..w).map(|_| None).collect();
+    let mut n_alive = w;
+
+    // Per-tick scratch: envelope and PPU solve lane arrays.
+    let mut env_f = vec![0.0f64; w];
+    let mut env_a = vec![0.0f64; w];
+    let mut in_voc = vec![0.0f64; w];
+    let mut in_z = vec![Complex::real(0.0); w];
+    let mut in_vst = vec![0.0f64; w];
+    let mut in_seed = vec![f64::NAN; w];
+    let mut solve_active = vec![false; w];
+    let mut ops = vec![
+        PpuOperatingPoint {
+            p_store_w: 0.0,
+            i_out_a: 0.0,
+            v_in_amp: 0.0,
+            p_in_w: 0.0,
+            efficiency: 0.0,
+        };
+        w
+    ];
+    let mut ok = vec![false; w];
+    let mut solver = BatchPpuSolver::new();
+
+    for k in 0..n_ticks {
+        if n_alive == 0 {
+            break;
+        }
+        let t = k as f64 * dt;
+        match bind {
+            SourceBind::Shared(source) => {
+                let env = source.envelope(t);
+                for i in 0..w {
+                    env_f[i] = env.freq_hz;
+                    env_a[i] = env.amp;
+                }
             }
-            let t = k as f64 * dt;
-            match bind {
-                SourceBind::Shared(source) => {
-                    let env = source.envelope(t);
-                    for i in 0..w {
-                        env_f[i] = env.freq_hz;
-                        env_a[i] = env.amp;
-                    }
-                }
-                SourceBind::PerLane(sources) => {
-                    for i in 0..w {
-                        if alive[i] {
-                            let env = sources[i].envelope(t);
-                            env_f[i] = env.freq_hz;
-                            env_a[i] = env.amp;
-                        }
-                    }
-                }
-            }
-
-            // Phase 1 — actuator motion, Thevenin memo, solve inputs.
-            for i in 0..w {
-                solve_active[i] = false;
-                if !alive[i] {
-                    continue;
-                }
-                let c = &consts[i];
-                if act_active[i] {
-                    if t >= act_t1[i] {
-                        pos[i] = act_target[i];
-                        act_active[i] = false;
-                    } else {
-                        let frac = (t - act_t0[i]) / (act_t1[i] - act_t0[i]);
-                        pos[i] = act_start[i] + (act_target[i] - act_start[i]) * frac;
-                    }
-                }
-                let key = (pos[i].to_bits(), env_f[i].to_bits(), env_a[i].to_bits());
-                if !thev_primed[i] || key != thev_key[i] {
-                    match c.harv.thevenin(pos[i], env_f[i], env_a[i]) {
-                        Ok((voc, z)) => {
-                            thev_voc[i] = voc;
-                            thev_z[i] = z;
-                            thev_key[i] = key;
-                            thev_primed[i] = true;
-                        }
-                        Err(e) => {
-                            alive[i] = false;
-                            n_alive -= 1;
-                            err[i] = Some(NodeError::Model(e.to_string()));
-                            continue;
-                        }
-                    }
-                }
-                in_voc[i] = thev_voc[i];
-                in_z[i] = thev_z[i];
-                in_vst[i] = v[i];
-                in_seed[i] = if warm { prev_v_pk[i] } else { f64::NAN };
-                solve_active[i] = true;
-            }
-
-            // Phase 2 — all lanes' PPU fixed points, in lock-step.
-            solver.solve(
-                &ppus,
-                &in_voc,
-                &in_z,
-                &env_f,
-                &in_vst,
-                &in_seed,
-                &solve_active,
-                &mut ops,
-                &mut ok,
-            );
-
-            // Phase 3 — policy, consumption, storage, thresholds.
-            for i in 0..w {
-                if !solve_active[i] {
-                    continue;
-                }
-                let c = &consts[i];
-                if !ok[i] {
-                    // Recover the scalar path's exact error message on
-                    // the (cold) failure path.
-                    let e = match c
-                        .ppu
-                        .operating_point(in_voc[i], in_z[i], env_f[i], in_vst[i])
-                    {
-                        Err(e) => e,
-                        Ok(_) => unreachable!("batched solve flagged invalid inputs"),
-                    };
-                    alive[i] = false;
-                    n_alive -= 1;
-                    err[i] = Some(NodeError::Model(e.to_string()));
-                    continue;
-                }
-                let op = ops[i];
-                prev_v_pk[i] = op.v_in_amp;
-                let p_in = op.p_store_w;
-                if !ema_primed[i] {
-                    ema[i] = p_in;
-                    ema_primed[i] = true;
-                } else {
-                    ema[i] = c.duty.update_ema(ema[i], p_in);
-                }
-
-                let policy_action = c.energy_policy.act(
-                    &mut pstate[i],
-                    &PolicyObs {
-                        t_s: t,
-                        dt_s: dt,
-                        v_store: v[i],
-                        v_on: c.thresholds.v_on,
-                        v_off: c.thresholds.v_off,
-                        p_harvest_w: p_in,
-                        nominal_period_s: c.task_period_s,
-                        p_idle_w: c.p_sleep_in,
-                        e_cycle_j: c.e_cycle_in,
-                        running: running[i],
-                    },
-                );
-
-                let mut e_tick = 0.0f64;
-                if running[i] {
-                    e_tick += c.p_sleep_in * dt;
-
-                    let mut fires: u64 = 0;
-                    let mut saturated = false;
-                    while next_task_t[i] <= t {
-                        if fires >= c.max_fires_per_tick {
-                            saturated = true;
-                            break;
-                        }
-                        if !policy_action.skip_fire {
-                            e_tick += c.e_cycle_in;
-                            acc[i].packets += 1;
-                            if acc[i].first_packet.is_none() {
-                                acc[i].first_packet = Some(t);
-                            }
-                        }
-                        let period = c.duty.period_s(
-                            c.task_period_s,
-                            v[i],
-                            c.thresholds.v_on,
-                            c.thresholds.v_off,
-                            ema[i],
-                            c.p_sleep_in,
-                            c.e_cycle_in,
-                        ) * policy_action.period_scale;
-                        next_task_t[i] += period.max(crate::sim::MIN_TASK_PERIOD_S);
-                        fires += 1;
-                    }
-                    if saturated {
-                        alive[i] = false;
-                        n_alive -= 1;
-                        err[i] = Some(task_saturation_error(dt, c.max_fires_per_tick));
-                        continue;
-                    }
-
-                    if c.tuning.enabled && t >= next_check_t[i] {
-                        e_tick += c.e_measure_in;
-                        acc[i].measurements += 1;
-                        next_check_t[i] = t + c.tuning.check_interval_s;
-                        if !act_active[i] {
-                            let resonance = c.harv.resonant_frequency(pos[i]);
-                            if let Some(target) = c.tuning.decide(
-                                env_f[i],
-                                resonance,
-                                |f| c.harv.position_for_frequency(f),
-                                pos[i],
-                            ) {
-                                let move_time = c.tuning_params.tuning_time_s(pos[i], target);
-                                act_start[i] = pos[i];
-                                act_target[i] = target;
-                                act_t0[i] = t;
-                                act_t1[i] = t + move_time;
-                                act_active[i] = true;
-                                acc[i].retunes += 1;
-                            }
-                        }
-                    }
-
-                    if act_active[i] {
-                        e_tick += c.e_act_tick;
-                        acc[i].tuning_energy += c.e_act_tick;
-                    }
-                }
-
-                let p_out = e_tick / dt;
-                let (v_next, e_in) = c
-                    .storage
-                    .step_with_current_accounted(v[i], op.i_out_a, p_out, dt);
-                v[i] = v_next;
-                acc[i].harvested += e_in;
-                acc[i].consumed += e_tick;
-
-                let was_running = running[i];
-                running[i] = c.thresholds.update(v[i], running[i]);
-                if was_running && !running[i] {
-                    acc[i].brownouts += 1;
-                    act_active[i] = false;
-                }
-                if !was_running && running[i] {
-                    next_task_t[i] = t + dt;
-                    next_check_t[i] = t + dt;
-                    ever_on[i] = true;
-                }
-                if running[i] {
-                    acc[i].uptime_ticks += 1;
-                    ever_on[i] = true;
-                }
-                if ever_on[i] {
-                    acc[i].min_v_after_on = acc[i].min_v_after_on.min(v[i]);
-                }
-                acc[i].min_v = acc[i].min_v.min(v[i]);
-            }
-
-            if k + 1 == snapshots.next_tick {
-                let reached = snapshots.reached();
+            SourceBind::PerLane(sources) => {
                 for i in 0..w {
                     if alive[i] {
-                        let m = acc[i].metrics(k + 1, dt, v[i]);
-                        for b in reached.clone() {
-                            on_snapshot(b, i, &m);
-                        }
+                        let env = sources[i].envelope(t);
+                        env_f[i] = env.freq_hz;
+                        env_a[i] = env.amp;
                     }
                 }
             }
         }
 
-        Ok((0..w)
-            .map(|i| match err[i].take() {
-                Some(e) => Err(e),
-                None => Ok(acc[i].metrics(n_ticks, dt, v[i])),
-            })
-            .collect())
+        // Phase 1 — actuator motion, Thevenin memo, solve inputs.
+        for i in 0..w {
+            solve_active[i] = false;
+            if !alive[i] {
+                continue;
+            }
+            let c = &consts[i];
+            if act_active[i] {
+                if t >= act_t1[i] {
+                    pos[i] = act_target[i];
+                    act_active[i] = false;
+                } else {
+                    let frac = (t - act_t0[i]) / (act_t1[i] - act_t0[i]);
+                    pos[i] = act_start[i] + (act_target[i] - act_start[i]) * frac;
+                }
+            }
+            let key = (pos[i].to_bits(), env_f[i].to_bits(), env_a[i].to_bits());
+            if !thev_primed[i] || key != thev_key[i] {
+                match c.harv.thevenin(pos[i], env_f[i], env_a[i]) {
+                    Ok((voc, z)) => {
+                        thev_voc[i] = voc;
+                        thev_z[i] = z;
+                        thev_key[i] = key;
+                        thev_primed[i] = true;
+                    }
+                    Err(e) => {
+                        alive[i] = false;
+                        n_alive -= 1;
+                        err[i] = Some(NodeError::Model(e.to_string()));
+                        continue;
+                    }
+                }
+            }
+            in_voc[i] = thev_voc[i];
+            in_z[i] = thev_z[i];
+            in_vst[i] = v[i];
+            in_seed[i] = if warm { prev_v_pk[i] } else { f64::NAN };
+            solve_active[i] = true;
+        }
+
+        // Phase 2 — all lanes' PPU fixed points, in lock-step.
+        solver.solve(
+            &ppus,
+            &in_voc,
+            &in_z,
+            &env_f,
+            &in_vst,
+            &in_seed,
+            &solve_active,
+            &mut ops,
+            &mut ok,
+        );
+
+        // Phase 3 — policy, consumption, storage, thresholds.
+        for i in 0..w {
+            if !solve_active[i] {
+                continue;
+            }
+            let c = &consts[i];
+            if !ok[i] {
+                // Recover the scalar path's exact error message on
+                // the (cold) failure path; a scalar solve that
+                // accepts what the batch flagged is a model fault
+                // of its own, not a panic.
+                let message = c
+                    .ppu
+                    .operating_point(in_voc[i], in_z[i], env_f[i], in_vst[i])
+                    .map_or_else(
+                        |e| e.to_string(),
+                        |_| "batched PPU solve flagged inputs the scalar solve accepts".into(),
+                    );
+                alive[i] = false;
+                n_alive -= 1;
+                err[i] = Some(NodeError::Model(message));
+                continue;
+            }
+            let op = ops[i];
+            prev_v_pk[i] = op.v_in_amp;
+            let p_in = op.p_store_w;
+            if !ema_primed[i] {
+                ema[i] = p_in;
+                ema_primed[i] = true;
+            } else {
+                ema[i] = c.duty.update_ema(ema[i], p_in);
+            }
+
+            let policy_action = c.energy_policy.act(
+                &mut pstate[i],
+                &PolicyObs {
+                    t_s: t,
+                    dt_s: dt,
+                    v_store: v[i],
+                    v_on: c.thresholds.v_on,
+                    v_off: c.thresholds.v_off,
+                    p_harvest_w: p_in,
+                    nominal_period_s: c.task_period_s,
+                    p_idle_w: c.p_sleep_in,
+                    e_cycle_j: c.e_cycle_in,
+                    running: running[i],
+                },
+            );
+
+            let mut e_tick = 0.0f64;
+            if running[i] {
+                e_tick += c.p_sleep_in * dt;
+
+                let mut fires: u64 = 0;
+                let mut saturated = false;
+                while next_task_t[i] <= t {
+                    if fires >= c.max_fires_per_tick {
+                        saturated = true;
+                        break;
+                    }
+                    if !policy_action.skip_fire {
+                        e_tick += c.e_cycle_in;
+                        acc[i].packets += 1;
+                        if acc[i].first_packet.is_none() {
+                            acc[i].first_packet = Some(t);
+                        }
+                    }
+                    let period = c.duty.period_s(
+                        c.task_period_s,
+                        v[i],
+                        c.thresholds.v_on,
+                        c.thresholds.v_off,
+                        ema[i],
+                        c.p_sleep_in,
+                        c.e_cycle_in,
+                    ) * policy_action.period_scale;
+                    next_task_t[i] += period.max(crate::sim::MIN_TASK_PERIOD_S);
+                    fires += 1;
+                }
+                if saturated {
+                    alive[i] = false;
+                    n_alive -= 1;
+                    err[i] = Some(task_saturation_error(dt, c.max_fires_per_tick));
+                    continue;
+                }
+
+                if c.tuning.enabled && t >= next_check_t[i] {
+                    e_tick += c.e_measure_in;
+                    acc[i].measurements += 1;
+                    next_check_t[i] = t + c.tuning.check_interval_s;
+                    if !act_active[i] {
+                        let resonance = c.harv.resonant_frequency(pos[i]);
+                        if let Some(target) = c.tuning.decide(
+                            env_f[i],
+                            resonance,
+                            |f| c.harv.position_for_frequency(f),
+                            pos[i],
+                        ) {
+                            let move_time = c.tuning_params.tuning_time_s(pos[i], target);
+                            act_start[i] = pos[i];
+                            act_target[i] = target;
+                            act_t0[i] = t;
+                            act_t1[i] = t + move_time;
+                            act_active[i] = true;
+                            acc[i].retunes += 1;
+                        }
+                    }
+                }
+
+                if act_active[i] {
+                    e_tick += c.e_act_tick;
+                    acc[i].tuning_energy += c.e_act_tick;
+                }
+            }
+
+            let p_out = e_tick / dt;
+            let (v_next, e_in) = c
+                .storage
+                .step_with_current_accounted(v[i], op.i_out_a, p_out, dt);
+            v[i] = v_next;
+            acc[i].harvested += e_in;
+            acc[i].consumed += e_tick;
+
+            let was_running = running[i];
+            running[i] = c.thresholds.update(v[i], running[i]);
+            if was_running && !running[i] {
+                acc[i].brownouts += 1;
+                act_active[i] = false;
+            }
+            if !was_running && running[i] {
+                next_task_t[i] = t + dt;
+                next_check_t[i] = t + dt;
+                ever_on[i] = true;
+            }
+            if running[i] {
+                acc[i].uptime_ticks += 1;
+                ever_on[i] = true;
+            }
+            if ever_on[i] {
+                acc[i].min_v_after_on = acc[i].min_v_after_on.min(v[i]);
+            }
+            acc[i].min_v = acc[i].min_v.min(v[i]);
+        }
+
+        if k + 1 == snapshots.next_tick {
+            let reached = snapshots.reached();
+            for i in 0..w {
+                if alive[i] {
+                    let m = acc[i].metrics(k + 1, dt, v[i]);
+                    for b in reached.clone() {
+                        on_snapshot(b, i, &m);
+                    }
+                }
+            }
+        }
     }
+
+    Ok((0..w)
+        .map(|i| match err[i].take() {
+            Some(e) => Err(e),
+            None => Ok(acc[i].metrics(n_ticks, dt, v[i])),
+        })
+        .collect())
 }

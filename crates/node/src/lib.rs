@@ -36,6 +36,7 @@
 pub mod batch;
 pub mod mcu;
 pub mod policy;
+pub mod sched;
 pub mod sim;
 pub mod tuning;
 

@@ -1,14 +1,14 @@
 //! Differential suite for the fleet simulator's node-phase dispatch.
 //!
 //! The contract under test: a [`FleetSimulator`] run — whatever the
-//! dispatch strategy (auto, forced-batched, per-sim) and whatever the
-//! scheduler thread count — is **bit-identical, node for node**, to a
-//! sequential oracle loop that prepares and runs each node's
-//! simulation by hand, straight from the spec, with no fleet machinery
-//! involved. This is the network-layer extension of the batch kernel's
-//! lane-for-lane bit-exactness contract, checked across 1/2/8 threads
-//! for both homogeneous (batched-dispatch) and mixed-tick
-//! (per-sim-fallback) fleets, and through to the derived
+//! dispatch strategy (auto, per-sim) and whatever the scheduler thread
+//! count — is **bit-identical, node for node**, to a sequential oracle
+//! loop that prepares and runs each node's simulation by hand,
+//! straight from the spec, with no fleet machinery involved. This is
+//! the network-layer extension of the batch kernel's lane-for-lane
+//! bit-exactness contract, checked across 1/2/8 threads for both
+//! homogeneous (one tick group) and mixed-tick (two tick groups,
+//! batched each) fleets, and through to the derived
 //! [`ehsim::net::FleetMetrics`] record.
 
 use ehsim::net::{
@@ -99,8 +99,8 @@ fn homogeneous_spec(n: usize) -> FleetSpec {
 }
 
 /// A mixed-tick fleet: same floor, but a third of the nodes run a
-/// finer tick — batched dispatch must refuse it and auto dispatch
-/// must fall back per-sim without changing a bit.
+/// finer tick — auto dispatch must batch each tick group without
+/// changing a bit.
 fn mixed_tick_spec(n: usize) -> FleetSpec {
     let mut spec = homogeneous_spec(n);
     for (i, node) in spec.nodes.iter_mut().enumerate() {
@@ -111,17 +111,31 @@ fn mixed_tick_spec(n: usize) -> FleetSpec {
     spec
 }
 
+/// How many tick groups (distinct `tick_s` bit patterns) the node
+/// phase batches the fleet into.
+fn tick_groups(fleet: &FleetSimulator) -> usize {
+    let ticks: std::collections::BTreeSet<u64> = fleet
+        .prepared()
+        .iter()
+        .map(|p| p.config().tick_s.to_bits())
+        .collect();
+    ticks.len()
+}
+
+/// The homogeneous fixture is a single tick group, so auto dispatch
+/// runs it as batches of one tick program.
 #[test]
 fn homogeneous_fleet_auto_dispatches_to_batches() {
     let fleet = FleetSimulator::new(homogeneous_spec(13)).expect("valid fleet");
-    assert!(fleet.is_homogeneous());
+    assert_eq!(tick_groups(&fleet), 1);
 }
 
+/// The mixed-tick fixture holds two tick groups, so the suites that
+/// run it exercise grouped batching.
 #[test]
 fn mixed_tick_fleet_is_heterogeneous() {
     let fleet = FleetSimulator::new(mixed_tick_spec(13)).expect("valid fleet");
-    assert!(!fleet.is_homogeneous());
-    assert!(fleet.run_with_dispatch(2, Dispatch::Batched).is_err());
+    assert_eq!(tick_groups(&fleet), 2);
 }
 
 #[test]
@@ -130,11 +144,7 @@ fn batched_dispatch_is_bit_identical_to_oracle_across_threads() {
     let oracle = oracle_metrics(&spec);
     let fleet = FleetSimulator::new(spec).expect("valid fleet");
     for threads in [1, 2, 8] {
-        for (dispatch, label) in [
-            (Dispatch::Auto, "auto"),
-            (Dispatch::Batched, "batched"),
-            (Dispatch::PerSim, "per-sim"),
-        ] {
+        for (dispatch, label) in [(Dispatch::Auto, "auto"), (Dispatch::PerSim, "per-sim")] {
             let out = fleet
                 .run_with_dispatch(threads, dispatch)
                 .expect("fleet runs");
@@ -166,7 +176,7 @@ fn fleet_metrics_are_invariant_to_threads_and_dispatch() {
         .run_with_dispatch(1, Dispatch::PerSim)
         .expect("fleet runs");
     for threads in [1, 2, 8] {
-        for dispatch in [Dispatch::Auto, Dispatch::Batched, Dispatch::PerSim] {
+        for dispatch in [Dispatch::Auto, Dispatch::PerSim] {
             let out = fleet
                 .run_with_dispatch(threads, dispatch)
                 .expect("fleet runs");
@@ -502,7 +512,7 @@ fn epoch_runs_are_bit_identical_across_threads_and_dispatch() {
     );
     assert_eq!(base.metrics.epochs.len(), 4);
     for threads in [1, 2, 8] {
-        for dispatch in [Dispatch::Auto, Dispatch::Batched, Dispatch::PerSim] {
+        for dispatch in [Dispatch::Auto, Dispatch::PerSim] {
             let out = fleet
                 .run_with_dispatch(threads, dispatch)
                 .expect("fleet runs");
@@ -568,7 +578,7 @@ fn epoch_runs_are_bit_identical_across_threads_and_dispatch() {
 
 /// Parallel per-node preparation is bit-identical to sequential
 /// preparation: same prepared fleet, same run output — for both the
-/// homogeneous and the mixed-tick (per-sim fallback) fleet shapes.
+/// homogeneous and the mixed-tick fleet shapes.
 #[test]
 fn parallel_prep_is_bit_identical_to_sequential() {
     for (spec, what) in [
@@ -579,11 +589,7 @@ fn parallel_prep_is_bit_identical_to_sequential() {
         for threads in [2, 8] {
             let par = FleetSimulator::prepare(spec.clone(), threads).expect("parallel prep");
             assert_eq!(seq.node_count(), par.node_count(), "{what}: node count");
-            assert_eq!(
-                seq.is_homogeneous(),
-                par.is_homogeneous(),
-                "{what}: homogeneity"
-            );
+            assert_eq!(tick_groups(&seq), tick_groups(&par), "{what}: tick groups");
             let a = seq.run(2).expect("sequential-prep fleet runs");
             let b = par.run(2).expect("parallel-prep fleet runs");
             for (i, (x, y)) in a.per_node.iter().zip(&b.per_node).enumerate() {
@@ -696,7 +702,7 @@ use ehsim::vibration::{Envelope, VibrationSource};
 use std::sync::Arc;
 
 const THREADS: [usize; 3] = [1, 2, 8];
-const DISPATCHES: [Dispatch; 3] = [Dispatch::Auto, Dispatch::Batched, Dispatch::PerSim];
+const DISPATCHES: [Dispatch; 2] = [Dispatch::Auto, Dispatch::PerSim];
 
 /// Whole-outcome bit identity: per-node metrics, network accounts,
 /// fleet metrics and every epoch audit. `Debug` renders each `f64` in
@@ -711,7 +717,7 @@ fn assert_outcomes_bit_identical(a: &FleetOutcome, b: &FleetOutcome, label: &str
 /// The one-pass run equals the prefix-re-run oracle bit for bit, at
 /// E ∈ {1, 3, 16}, on 1/2/8 threads and every dispatch — for the
 /// starved-node fleet (a mid-run brown-out and repair) and for a
-/// mixed-tick fleet (per-sim fallback; boundaries round differently
+/// mixed-tick fleet (two tick groups; boundaries round differently
 /// per tick length).
 #[test]
 fn one_pass_epochs_match_prefix_oracle() {
@@ -730,10 +736,6 @@ fn one_pass_epochs_match_prefix_oracle() {
             for threads in THREADS {
                 for dispatch in DISPATCHES {
                     let label = format!("{what} E={epochs} {dispatch:?}@{threads}t");
-                    if dispatch == Dispatch::Batched && !fleet.is_homogeneous() {
-                        assert!(fleet.run_with_dispatch(threads, dispatch).is_err());
-                        continue;
-                    }
                     let out = fleet
                         .run_with_dispatch(threads, dispatch)
                         .expect("fleet runs");
@@ -765,18 +767,36 @@ impl VibrationSource for PoisonAfter {
 }
 
 /// The prefix loop's error contract survives the one-pass node phase:
-/// node 7 fails in epoch 1 and node 2 in epoch 5, so the run fails
-/// with node 7 — the first epoch's failure, not the smaller index —
-/// on every thread count and dispatch, exactly as the oracle does.
+/// the run fails with the earliest epoch's failure, then the smallest
+/// node failing in that epoch — on every thread count and dispatch,
+/// exactly as the oracle does. In the homogeneous fleet node 7 fails
+/// in epoch 1 and node 2 in epoch 5, so node 7 wins over the smaller
+/// index. In the mixed-tick fleet nodes 2 and 7 both fail in epoch 1
+/// and node 1 in epoch 5; node 7 alone runs the finer tick, so its
+/// tick group is formed first, and node 2 must still win.
 #[test]
 fn earliest_epoch_failure_wins_over_smaller_node() {
-    let mut spec = homogeneous_spec(9);
-    // 45 s in 8 epochs of 5.625 s at a 0.5 s tick.
+    let mut mixed = homogeneous_spec(9);
+    mixed.nodes[7].config.tick_s = 0.25;
+    // 45 s in 8 epochs of 5.625 s: epoch 1 is (5.625, 11.25], epoch 5
+    // is (28.125, 33.75].
+    for (spec, poison, want) in [
+        (homogeneous_spec(9), vec![(7, 8.0), (2, 30.0)], 7),
+        (mixed, vec![(7, 8.0), (2, 9.0), (1, 30.0)], 2),
+    ] {
+        earliest_epoch_failure_wins(spec, &poison, want);
+    }
+}
+
+/// Runs `spec` in 8 route epochs with node `i`'s source poisoned from
+/// `t` on for each `(i, t)` in `poison`, and checks that node `want`'s
+/// error is the one reported.
+fn earliest_epoch_failure_wins(mut spec: FleetSpec, poison: &[(usize, f64)], want: usize) {
     spec.route_epochs = 8;
-    let poison = [
-        (node_seed(spec.fleet_seed, 7), 8.0),  // epoch 1: (5.625, 11.25]
-        (node_seed(spec.fleet_seed, 2), 30.0), // epoch 5: (28.125, 33.75]
-    ];
+    let poison: Vec<(u64, f64)> = poison
+        .iter()
+        .map(|&(node, t)| (node_seed(spec.fleet_seed, node), t))
+        .collect();
     let floor = FleetEnvironment::factory_floor();
     spec.environment = FleetEnvironment::new("poisoned-floor", move |seed| {
         let inner = floor.source_for(seed)?;
@@ -787,8 +807,8 @@ fn earliest_epoch_failure_wins_over_smaller_node() {
     });
     let fleet = FleetSimulator::new(spec).expect("valid fleet");
     let oracle = match fleet.run_reference(1, Dispatch::PerSim) {
-        Err(NetError::Node { node: 7, source }) => source.to_string(),
-        other => panic!("oracle: expected node 7 to fail, got {other:?}"),
+        Err(NetError::Node { node, source }) if node == want => source.to_string(),
+        other => panic!("oracle: expected node {want} to fail, got {other:?}"),
     };
     for threads in THREADS {
         for dispatch in DISPATCHES {
@@ -797,13 +817,15 @@ fn earliest_epoch_failure_wins_over_smaller_node() {
                 (fleet.run_reference(threads, dispatch), "oracle"),
             ] {
                 match run {
-                    Err(NetError::Node { node: 7, source }) => assert_eq!(
+                    Err(NetError::Node { node, source }) if node == want => assert_eq!(
                         source.to_string(),
                         oracle,
                         "{what} {dispatch:?}@{threads}t: error text"
                     ),
                     other => {
-                        panic!("{what} {dispatch:?}@{threads}t: expected node 7, got {other:?}")
+                        panic!(
+                            "{what} {dispatch:?}@{threads}t: expected node {want}, got {other:?}"
+                        )
                     }
                 }
             }
